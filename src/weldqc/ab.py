@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .mcmc import Chain
-from .streams import substream
+from .mcmc import _draw_values
+from .streams import derive_seed, substream
 
 DEFAULT_RESAMPLES = 100_000
 
@@ -26,16 +26,10 @@ class ComparisonResult:
     seed: int
 
 
-def _values(chain_or_draws) -> np.ndarray:
-    if isinstance(chain_or_draws, Chain):
-        return chain_or_draws.post_burn_in
-    return np.asarray(chain_or_draws, dtype=float)
-
-
 def prob_greater(draws_a, draws_b, n: int = DEFAULT_RESAMPLES, seed: int = 0) -> ComparisonResult:
     """P(FN_A >= FN_B) over n paired resamples, deterministic given seed."""
-    a = _values(draws_a)
-    b = _values(draws_b)
+    a = _draw_values(draws_a)
+    b = _draw_values(draws_b)
     if len(a) == 0 or len(b) == 0:
         raise DomainError("both draw lists must be non-empty")
     if n < 1:
@@ -53,7 +47,7 @@ def pairwise_matrix(chains, n: int = DEFAULT_RESAMPLES, seed: int = 0) -> np.nda
     Each off-diagonal cell runs on its own substream (seed, i, j) so the
     matrix is reproducible cell-by-cell.
     """
-    values = [_values(c) for c in chains]
+    values = [_draw_values(c) for c in chains]
     if not values:
         raise DomainError("need at least one chain")
     size = len(values)
@@ -62,6 +56,6 @@ def pairwise_matrix(chains, n: int = DEFAULT_RESAMPLES, seed: int = 0) -> np.nda
         for j in range(size):
             if i == j:
                 continue
-            cell_seed = int(np.random.SeedSequence([seed, i, j]).generate_state(1, np.uint64)[0])
+            cell_seed = derive_seed(seed, i, j)
             matrix[i, j] = prob_greater(values[i], values[j], n, cell_seed).prob_a_greater
     return matrix

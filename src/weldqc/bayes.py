@@ -121,21 +121,13 @@ def posterior_mean(params: BetaParams, counts: CountData, prior: BetaParams = JE
     return direct
 
 
-def beta_cdf(x: float, params: BetaParams) -> float:
-    return special.beta_cdf(x, params.a, params.b)
-
-
-def beta_quantile(q: float, params: BetaParams) -> float:
-    return special.beta_quantile(q, params.a, params.b)
-
-
 def credible_interval(params: BetaParams, alpha: float = 0.05) -> CredibleInterval:
     """Equal-tailed interval leaving alpha/2 posterior mass in each tail."""
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     return CredibleInterval(
-        lower=beta_quantile(alpha / 2.0, params),
-        upper=beta_quantile(1.0 - alpha / 2.0, params),
+        lower=special.beta_quantile(alpha / 2.0, params.a, params.b),
+        upper=special.beta_quantile(1.0 - alpha / 2.0, params.a, params.b),
         level=1.0 - alpha,
     )
 

@@ -12,12 +12,13 @@ Exit codes: 0 success, 2 input/schema error, 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, ab, complexity, forecast, mcmc, render, report, rework
 from .bayes import BetaParams, CountData, credible_interval, posterior
@@ -33,39 +34,96 @@ from .ingest import (
     parse_records,
     summarize,
 )
+from .streams import derive_seed
 
 OUT_DIR_ENV = "WELDQC_OUT"
 
-_PERCENT_HEADER = [f"{round(level * 100)}%" for level in np.arange(0.0, 1.05, 0.10)]
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, file_config: dict) -> dict:
-    """defaults <- config file <- explicit CLI flags."""
-    unknown = set(file_config) - set(defaults)
+def _strings(value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError("expected a list of strings")
+    return value
+
+
+def _choice(*allowed: str):
+    def check(value) -> str:
+        if value not in allowed:
+            raise ValueError(f"expected one of {allowed}")
+        return value
+
+    return check
+
+
+_DELIMITER = _choice(",", "tab", ";", "\\t", "\t")
+
+
+def _pair(value) -> list[float]:
+    a, b = value
+    return [float(a), float(b)]
+
+
+_REQUIRED = object()
+
+
+def _resolve(args: argparse.Namespace, options: dict, file_config: dict) -> dict:
+    """defaults <- config file <- explicit CLI flags, each coerced to its type.
+
+    `options` maps every option of a command to its (default, type); a null
+    config value means the default, and a _REQUIRED default must be set.
+    """
+    options = {**options, "out_dir": (None, str)}
+    unknown = set(file_config) - set(options)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    resolved = dict(defaults)
-    resolved.update(file_config)
-    for key in defaults:
+    resolved = {}
+    for key, (default, kind) in options.items():
         value = getattr(args, key, None)
+        if value is None:
+            value = file_config.get(key)
+        if value is None:
+            value = default
+        if value is _REQUIRED:
+            raise ConfigError(f"{args.command} requires --{key.replace('_', '-')}")
         if value is not None:
-            resolved[key] = value
+            try:
+                value = kind(value)
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value {value!r} for {key}: {exc}")
+        resolved[key] = value
     return resolved
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _read_json(path: str, what: str, error_cls: type[WeldQCError]) -> dict:
+    """The JSON object in a file; any failure to get one raises error_cls."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}")
-    if not isinstance(loaded, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return loaded
+            document = json.load(handle)
+    except OSError as exc:
+        raise error_cls(f"cannot read {what} file {path}: {exc.strerror}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error_cls(f"{what} file is not valid JSON: {exc}")
+    if not isinstance(document, dict):
+        raise error_cls(f"{what} file must hold a JSON object")
+    return document
+
+
+@contextmanager
+def _fields(record: str):
+    """Map a missing or mistyped field of a data-file record to a SchemaError."""
+    try:
+        yield
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{record} has a missing or malformed field: {exc}")
+
+
+def _count_data(record: dict) -> CountData:
+    return CountData(int(record["failed"]), int(record["inspected"]))
 
 
 def _out_dir(resolved: dict) -> Path:
@@ -75,11 +133,6 @@ def _out_dir(resolved: dict) -> Path:
 def _delimiter(resolved: dict) -> str:
     name = resolved.get("delimiter", ",")
     return "\t" if name in ("tab", "\\t", "\t") else name
-
-
-def _prior(resolved: dict) -> BetaParams:
-    a, b = resolved["prior"]
-    return BetaParams(float(a), float(b))
 
 
 def _parse_where(pairs: list[str] | None) -> dict[str, str]:
@@ -114,19 +167,16 @@ def _load_summaries(resolved: dict) -> tuple[list, dict]:
 
 
 def cmd_summarize(args: argparse.Namespace, file_config: dict) -> int:
-    defaults = {
-        "input": None,
-        "delimiter": ",",
-        "group_by": list(DEFAULT_GROUP_BY),
-        "where": [],
-        "min_inspected": 0,
-        "out_dir": None,
+    options = {
+        "input": (_REQUIRED, str),
+        "delimiter": (",", _DELIMITER),
+        "group_by": (list(DEFAULT_GROUP_BY), _strings),
+        "where": ([], _strings),
+        "min_inspected": (0, int),
     }
-    resolved = _resolve(args, defaults, file_config)
-    if not resolved["input"]:
-        raise ConfigError("summarize requires --input")
+    resolved = _resolve(args, options, file_config)
     summaries, ingest_info = _load_summaries(resolved)
-    summaries = filter_summaries(summaries, min_inspected=int(resolved["min_inspected"]))
+    summaries = filter_summaries(summaries, min_inspected=resolved["min_inspected"])
 
     out = _out_dir(resolved)
     info = report.meta("summarize", resolved, seed=None)
@@ -166,32 +216,25 @@ def cmd_summarize(args: argparse.Namespace, file_config: dict) -> int:
 
 
 def cmd_interval(args: argparse.Namespace, file_config: dict) -> int:
-    defaults = {
-        "failed": None,
-        "inspected": None,
-        "alpha": 0.05,
-        "prior": [0.5, 0.5],
-        "classical": False,
-        "out_dir": None,
+    options = {
+        "failed": (_REQUIRED, int),
+        "inspected": (_REQUIRED, int),
+        "alpha": (0.05, float),
+        "prior": ([0.5, 0.5], _pair),
+        "classical": (False, _flag),
     }
-    resolved = _resolve(args, defaults, file_config)
-    if resolved["failed"] is None or resolved["inspected"] is None:
-        raise ConfigError("interval requires --failed and --inspected")
-    counts = CountData(int(resolved["failed"]), int(resolved["inspected"]))
-    prior = _prior(resolved)
-    alpha = float(resolved["alpha"])
+    resolved = _resolve(args, options, file_config)
+    counts = CountData(resolved["failed"], resolved["inspected"])
+    prior = BetaParams(*resolved["prior"])
+    alpha = resolved["alpha"]
     params = posterior(counts, prior)
     interval = credible_interval(params, alpha)
 
     payload = {
-        "counts": {"failed": counts.failed, "inspected": counts.inspected},
-        "prior": {"a": prior.a, "b": prior.b},
-        "posterior": {"a": params.a, "b": params.b},
-        "credible_interval": {
-            "lower": interval.lower,
-            "upper": interval.upper,
-            "level": interval.level,
-        },
+        "counts": asdict(counts),
+        "prior": asdict(prior),
+        "posterior": asdict(params),
+        "credible_interval": asdict(interval),
     }
     if resolved["classical"]:
         classical = {}
@@ -218,51 +261,47 @@ def cmd_interval(args: argparse.Namespace, file_config: dict) -> int:
 
 
 def cmd_operators(args: argparse.Namespace, file_config: dict) -> int:
-    defaults = {
-        "input": None,
-        "delimiter": ",",
-        "where": [],
-        "nps": None,
-        "schedule": None,
-        "material": None,
-        "weld_kind": None,
-        "min_inspected": 100,
-        "prior": [0.5, 0.5],
-        "alpha": 0.05,
-        "iterations": 10_000,
-        "burn_in": 200,
-        "proposal_sd": 0.05,
-        "resamples": ab.DEFAULT_RESAMPLES,
-        "seed": 0,
-        "out_dir": None,
-        "group_by": list(DEFAULT_GROUP_BY) + ["operator_id"],
+    options = {
+        "input": (_REQUIRED, str),
+        "delimiter": (",", _DELIMITER),
+        "where": ([], _strings),
+        "nps": (None, str),
+        "schedule": (None, str),
+        "material": (None, str),
+        "weld_kind": (None, str),
+        "min_inspected": (100, int),
+        "prior": ([0.5, 0.5], _pair),
+        "alpha": (0.05, float),
+        "iterations": (10_000, int),
+        "burn_in": (200, int),
+        "proposal_sd": (0.05, float),
+        "resamples": (ab.DEFAULT_RESAMPLES, int),
+        "seed": (0, int),
+        "group_by": (list(DEFAULT_GROUP_BY) + ["operator_id"], _strings),
     }
-    resolved = _resolve(args, defaults, file_config)
-    if not resolved["input"]:
-        raise ConfigError("operators requires --input")
+    resolved = _resolve(args, options, file_config)
     summaries, _ = _load_summaries(resolved)
     key_filter = {
-        f: str(resolved[f])
+        f: resolved[f]
         for f in ("nps", "schedule", "material", "weld_kind")
         if resolved[f] is not None
     }
     selected = filter_summaries(
-        summaries, key_filter=key_filter, min_inspected=int(resolved["min_inspected"])
+        summaries, key_filter=key_filter, min_inspected=resolved["min_inspected"]
     )
     if not selected:
         raise ConfigError("no operator matches the key filter and threshold")
 
-    prior = _prior(resolved)
-    seed = int(resolved["seed"])
+    prior = BetaParams(*resolved["prior"])
+    seed = resolved["seed"]
     chains = []
     for index, summary in enumerate(selected):
         counts = CountData(summary.repaired_welds, summary.inspected_welds)
-        chain_seed = int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
         config = mcmc.ChainConfig(
-            iterations=int(resolved["iterations"]),
-            burn_in=int(resolved["burn_in"]),
-            proposal_sd=float(resolved["proposal_sd"]),
-            seed=chain_seed,
+            iterations=resolved["iterations"],
+            burn_in=resolved["burn_in"],
+            proposal_sd=resolved["proposal_sd"],
+            seed=derive_seed(seed, index),
         )
         chains.append((summary, mcmc.sample_posterior(counts, prior, config)))
 
@@ -275,7 +314,7 @@ def cmd_operators(args: argparse.Namespace, file_config: dict) -> int:
         key=lambda item: -item[2].median,
     )
     matrix = ab.pairwise_matrix(
-        [chain for _, chain, _ in ranked], n=int(resolved["resamples"]), seed=seed
+        [chain for _, chain, _ in ranked], n=resolved["resamples"], seed=seed
     )
 
     out = _out_dir(resolved)
@@ -328,21 +367,24 @@ def cmd_operators(args: argparse.Namespace, file_config: dict) -> int:
 
 def _counts_from_file(path: str, delimiter: str) -> list[dict]:
     """Counts table: label, inspected, repaired[, total] with a header row."""
-    import csv
-
-    rows = []
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise SchemaError(f"counts file not found: {path}")
-    with handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        required = {"label", "inspected", "repaired"}
-        if not reader.fieldnames or not required.issubset(set(reader.fieldnames)):
-            raise SchemaError(
-                "counts file needs columns: label, inspected, repaired[, total]"
-            )
-        for record in reader:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle, delimiter=delimiter, restval="")
+            required = {"label", "inspected", "repaired"}
+            if not reader.fieldnames or not required.issubset(set(reader.fieldnames)):
+                raise SchemaError(
+                    "counts file needs columns: label, inspected, repaired[, total]"
+                )
+            records = list(reader)
+    except OSError as exc:
+        raise SchemaError(f"cannot read counts file {path}: {exc.strerror}")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"counts file is not a valid UTF-8 table: {exc}")
+    if not records:
+        raise SchemaError("counts file holds no rows")
+    rows = []
+    for number, record in enumerate(records, start=1):
+        with _fields(f"counts row {number}"):
             rows.append(
                 {
                     "label": record["label"].strip(),
@@ -351,27 +393,22 @@ def _counts_from_file(path: str, delimiter: str) -> list[dict]:
                     "total": int(record["total"]) if record.get("total") else None,
                 }
             )
-    if not rows:
-        raise SchemaError("counts file holds no rows")
     return rows
 
 
 def cmd_complexity(args: argparse.Namespace, file_config: dict) -> int:
-    defaults = {
-        "input": None,
-        "counts": None,
-        "delimiter": ",",
-        "where": [],
-        "group_by": list(DEFAULT_GROUP_BY),
-        "top": None,
-        "clusters": None,
-        "cluster_on": "profile",
-        "prior": [0.5, 0.5],
-        "out_dir": None,
+    options = {
+        "input": (None, str),
+        "counts": (None, str),
+        "delimiter": (",", _DELIMITER),
+        "where": ([], _strings),
+        "group_by": (list(DEFAULT_GROUP_BY), _strings),
+        "top": (None, int),
+        "clusters": (None, int),
+        "cluster_on": ("profile", _choice("profile", "hellinger")),
+        "prior": ([0.5, 0.5], _pair),
     }
-    resolved = _resolve(args, defaults, file_config)
-    if resolved["cluster_on"] not in ("profile", "hellinger"):
-        raise ConfigError("cluster_on must be 'profile' or 'hellinger'")
+    resolved = _resolve(args, options, file_config)
     if resolved["counts"]:
         rows = _counts_from_file(resolved["counts"], _delimiter(resolved))
     elif resolved["input"]:
@@ -391,9 +428,9 @@ def cmd_complexity(args: argparse.Namespace, file_config: dict) -> int:
     totals_known = all(r["total"] is not None for r in rows)
     rows.sort(key=lambda r: (-(r["total"] if totals_known else r["inspected"]), r["label"]))
     if resolved["top"]:
-        rows = rows[: int(resolved["top"])]
+        rows = rows[: resolved["top"]]
 
-    prior = _prior(resolved)
+    prior = BetaParams(*resolved["prior"])
     posteriors = [
         posterior(CountData(r["repaired"], r["inspected"]), prior) for r in rows
     ]
@@ -406,7 +443,7 @@ def cmd_complexity(args: argparse.Namespace, file_config: dict) -> int:
         else matrix
     )
     tree = complexity.agglomerative_cluster(cluster_input)
-    k = int(resolved["clusters"]) if resolved["clusters"] else min(7, len(rows))
+    k = resolved["clusters"] or min(7, len(rows))
     assignments = complexity.cut(tree, k)
     totals = [r["total"] for r in rows] if totals_known else None
     cluster_labels = complexity.label_clusters(assignments, scores, totals)
@@ -464,71 +501,66 @@ def cmd_complexity(args: argparse.Namespace, file_config: dict) -> int:
 # ------------------------------------------------------------------ forecast
 
 
+def _write_quantiles(path: Path, table: list[tuple[float, float]], info: dict) -> dict:
+    """One CSV row of quantiles headed 0%..100%; returns them keyed by those labels."""
+    quantiles = {f"{round(level * 100)}%": value for level, value in table}
+    report.write_table(path, list(quantiles), [list(quantiles.values())], info)
+    return quantiles
+
+
 def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except FileNotFoundError:
-        raise SchemaError(f"design file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"design file is not valid JSON: {exc}")
-    if "welds" not in document or not isinstance(document["welds"], list):
+    document = _read_json(path, "design", SchemaError)
+    if not isinstance(document.get("welds"), list):
         raise SchemaError("design file needs a 'welds' list")
     type_counts: dict[str, CountData] = {}
-    for key, spec in (document.get("types") or {}).items():
-        type_counts[key] = CountData(int(spec["failed"]), int(spec["inspected"]))
+    with _fields("design 'types'"):
+        for key, spec in (document.get("types") or {}).items():
+            with _fields(f"design type {key!r}"):
+                type_counts[key] = _count_data(spec)
     entries = []
     posteriors = {}
-    for weld in document["welds"]:
-        key = str(weld.get("key", f"type-{len(entries) + 1}"))
-        count = int(weld.get("count", 1))
-        if "failed" in weld and "inspected" in weld:
-            counts = CountData(int(weld["failed"]), int(weld["inspected"]))
-        elif key in type_counts:
-            counts = type_counts[key]
-        else:
-            raise ConfigError(f"design references unresolved weld type {key!r}")
+    for number, weld in enumerate(document["welds"], start=1):
+        with _fields(f"design weld #{number}"):
+            key = str(weld.get("key", f"type-{len(entries) + 1}"))
+            count = int(weld.get("count", 1))
+            if "failed" in weld and "inspected" in weld:
+                counts = _count_data(weld)
+            elif key in type_counts:
+                counts = type_counts[key]
+            else:
+                raise ConfigError(f"design references unresolved weld type {key!r}")
         entries.append((key, count))
         posteriors[key] = posterior(counts, prior)
     return forecast.ProjectDesign.from_type_counts(entries, posteriors)
 
 
 def cmd_forecast(args: argparse.Namespace, file_config: dict) -> int:
-    defaults = {
-        "design": None,
-        "iterations": forecast.DEFAULT_ITERATIONS,
-        "seed": 0,
-        "mode": "average",
-        "prior": [0.5, 0.5],
-        "keep_samples": True,
-        "out_dir": None,
+    options = {
+        "design": (_REQUIRED, str),
+        "iterations": (forecast.DEFAULT_ITERATIONS, int),
+        "seed": (0, int),
+        "mode": ("average", str),
+        "prior": ([0.5, 0.5], _pair),
+        "keep_samples": (True, _flag),
     }
-    resolved = _resolve(args, defaults, file_config)
-    if not resolved["design"]:
-        raise ConfigError("forecast requires --design")
-    design = _load_design(resolved["design"], _prior(resolved))
+    resolved = _resolve(args, options, file_config)
+    design = _load_design(resolved["design"], BetaParams(*resolved["prior"]))
     result = forecast.simulate_project(
         design,
-        iterations=int(resolved["iterations"]),
-        seed=int(resolved["seed"]),
+        iterations=resolved["iterations"],
+        seed=resolved["seed"],
         mode=resolved["mode"],
     )
-    table = result.quantiles()
 
     out = _out_dir(resolved)
-    info = report.meta("forecast", resolved, seed=int(resolved["seed"]))
-    report.write_table(
-        out / "forecast_quantiles.csv",
-        _PERCENT_HEADER,
-        [[value for _, value in table]],
-        info,
-    )
+    info = report.meta("forecast", resolved, seed=resolved["seed"])
+    quantiles = _write_quantiles(out / "forecast_quantiles.csv", result.quantiles(), info)
     payload = {
         "n_welds": design.n_welds,
         "n_types": design.n_types,
         "iterations": result.iterations,
         "mode": result.mode,
-        "quantiles": {f"{round(level * 100)}%": value for level, value in table},
+        "quantiles": quantiles,
     }
     if resolved["keep_samples"]:
         payload["samples"] = [float(v) for v in result.samples]
@@ -537,7 +569,7 @@ def cmd_forecast(args: argparse.Namespace, file_config: dict) -> int:
         out / "forecast_histogram.svg", render.histogram_svg(result.samples), info
     )
     print(
-        f"project fraction nonconforming median {report.fmt(table[5][1])} "
+        f"project fraction nonconforming median {report.fmt(quantiles['50%'])} "
         f"over {result.iterations} iterations; outputs in {out}"
     )
     return 0
@@ -547,68 +579,50 @@ def cmd_forecast(args: argparse.Namespace, file_config: dict) -> int:
 
 
 def _load_specs(path: str, prior: BetaParams) -> list[rework.ProductSpec]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except FileNotFoundError:
-        raise SchemaError(f"specs file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"specs file is not valid JSON: {exc}")
-    products = document.get("products")
+    products = _read_json(path, "specs", SchemaError).get("products")
     if not isinstance(products, list) or not products:
         raise SchemaError("specs file needs a non-empty 'products' list")
     specs = []
-    for index, product in enumerate(products):
-        try:
-            counts = CountData(int(product["failed"]), int(product["inspected"]))
+    for number, product in enumerate(products, start=1):
+        with _fields(f"product #{number}"):
+            key = product.get("key")
             specs.append(
                 rework.ProductSpec(
-                    posterior=posterior(counts, prior),
+                    posterior=posterior(_count_data(product), prior),
                     estimated_hours=float(product["estimated_hours"]),
                     efficiency=float(product.get("efficiency", rework.DEFAULT_EFFICIENCY)),
-                    key=product.get("key"),
+                    key=None if key is None else str(key),
                 )
             )
-        except KeyError as exc:
-            raise SchemaError(f"product #{index + 1} is missing field {exc}")
     return specs
 
 
 def _load_actuals(path: str | None) -> tuple[list[float], list[int]]:
     if not path:
         return [], []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except FileNotFoundError:
-        raise SchemaError(f"actuals file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"actuals file is not valid JSON: {exc}")
-    hours = [float(h) for h in document.get("hours", [])]
-    results = [int(r) for r in document.get("results", [])]
+    document = _read_json(path, "actuals", SchemaError)
+    with _fields("actuals file"):
+        hours = [float(h) for h in document.get("hours", [])]
+        results = [int(r) for r in document.get("results", [])]
     return hours, results
 
 
 def cmd_rework(args: argparse.Namespace, file_config: dict) -> int:
-    defaults = {
-        "specs": None,
-        "actuals": None,
-        "iterations": rework.DEFAULT_ITERATIONS,
-        "seed": 0,
-        "prior": [0.5, 0.5],
-        "update_posteriors": False,
-        "out_dir": None,
+    options = {
+        "specs": (_REQUIRED, str),
+        "actuals": (None, str),
+        "iterations": (rework.DEFAULT_ITERATIONS, int),
+        "seed": (0, int),
+        "prior": ([0.5, 0.5], _pair),
+        "update_posteriors": (False, _flag),
     }
-    resolved = _resolve(args, defaults, file_config)
-    if not resolved["specs"]:
-        raise ConfigError("rework requires --specs")
-    specs = _load_specs(resolved["specs"], _prior(resolved))
+    resolved = _resolve(args, options, file_config)
+    specs = _load_specs(resolved["specs"], BetaParams(*resolved["prior"]))
     hours, results = _load_actuals(resolved["actuals"])
-    seed = int(resolved["seed"])
-    iterations = int(resolved["iterations"])
+    seed = resolved["seed"]
+    iterations = resolved["iterations"]
 
-    planning_seed = int(np.random.SeedSequence([seed, 0]).generate_state(1, np.uint64)[0])
-    estimate = rework.simulate_total_rework(specs, iterations, planning_seed)
+    estimate = rework.simulate_total_rework(specs, iterations, derive_seed(seed, 0))
     limits = rework.control_limits(estimate)
     series = rework.control_chart(
         specs,
@@ -617,24 +631,19 @@ def cmd_rework(args: argparse.Namespace, file_config: dict) -> int:
         iterations=iterations,
         seed=seed,
         limits=limits,
-        update_posteriors=bool(resolved["update_posteriors"]),
+        update_posteriors=resolved["update_posteriors"],
     )
 
     out = _out_dir(resolved)
     info = report.meta("rework", resolved, seed=seed)
-    report.write_table(
-        out / "rework_quantiles.csv",
-        _PERCENT_HEADER,
-        [[value for _, value in estimate.quantiles()]],
-        info,
-    )
+    quantiles = _write_quantiles(out / "rework_quantiles.csv", estimate.quantiles(), info)
     report.write_json(
         out / "rework.json",
         {
             "mean": estimate.mean,
             "iterations": estimate.iterations,
-            "quantiles": {f"{round(q * 100)}%": v for q, v in estimate.quantiles()},
-            "limits": {"cl": limits.cl, "ucl": limits.ucl, "lcl": limits.lcl},
+            "quantiles": quantiles,
+            "limits": asdict(limits),
         },
         info,
     )
@@ -649,20 +658,7 @@ def cmd_rework(args: argparse.Namespace, file_config: dict) -> int:
     )
     report.write_json(
         out / "control_chart.json",
-        {
-            "limits": {"cl": limits.cl, "ucl": limits.ucl, "lcl": limits.lcl},
-            "points": [
-                {
-                    "state": p.state,
-                    "median": p.median,
-                    "band_low": p.band_low,
-                    "band_high": p.band_high,
-                    "accrued_actual_hours": p.accrued_actual_hours,
-                    "flag": p.flag,
-                }
-                for p in series.points
-            ],
-        },
+        {"limits": asdict(limits), "points": [asdict(p) for p in series.points]},
         info,
     )
     report.write_svg(out / "control_chart.svg", render.control_chart_svg(series), info)
@@ -768,14 +764,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        file_config = _load_config(getattr(args, "config", None))
+        file_config = _read_json(args.config, "config", ConfigError) if args.config else {}
         return args.func(args, file_config)
     except WeldQCError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 4)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

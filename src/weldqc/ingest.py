@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -127,15 +128,16 @@ class GroupSummary:
             )
 
 
-def _open_source(source) -> io.TextIOBase:
+def _open_source(source):
+    """A context that closes the handle only when it was opened here."""
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline="")
     if isinstance(source, bytes):
         return io.StringIO(source.decode("utf-8"))
     if isinstance(source, io.TextIOBase):
-        return source
+        return nullcontext(source)
     # binary file object
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+    return nullcontext(io.TextIOWrapper(source, encoding="utf-8", newline=""))
 
 
 def parse_records(source, schema: TableSchema = TableSchema()) -> ParseResult:
@@ -143,9 +145,19 @@ def parse_records(source, schema: TableSchema = TableSchema()) -> ParseResult:
 
     Structural problems (wrong field count) and non-integer status tokens are
     reported with their 1-based line numbers; the affected rows are kept so
-    that `clean` can account for them explicitly.
+    that `clean` can account for them explicitly.  A path is opened and
+    closed here; a handle the caller passes in stays open.
     """
-    handle = _open_source(source)
+    try:
+        with _open_source(source) as handle:
+            return _parse_rows(handle, schema)
+    except OSError as exc:
+        raise SchemaError(f"cannot read input {source}: {exc.strerror}")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"input is not a valid UTF-8 table: {exc}")
+
+
+def _parse_rows(handle: io.TextIOBase, schema: TableSchema) -> ParseResult:
     reader = csv.reader(handle, delimiter=schema.delimiter)
     try:
         header = next(reader)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bayes import JEFFREYS, BetaParams, CountData, CredibleInterval
 from .errors import DomainError
-from .streams import check_seed, substream
+from .streams import check_seed, derive_seed, substream
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,10 @@ def sample_chains(
     n_chains: int = 1,
 ) -> list[Chain]:
     """Independent chains on substreams (seed, chain index)."""
-    chains = []
-    for index in range(n_chains):
-        derived = np.random.SeedSequence([check_seed(config.seed), index])
-        seed = int(derived.generate_state(1, np.uint64)[0])
-        chains.append(sample_posterior(counts, prior, replace(config, seed=seed)))
-    return chains
+    return [
+        sample_posterior(counts, prior, replace(config, seed=derive_seed(config.seed, index)))
+        for index in range(n_chains)
+    ]
 
 
 def _draw_values(chain_or_values, post_burn_in: bool = True) -> np.ndarray:

@@ -59,13 +59,20 @@ def _meta_comment_lines(info: Mapping) -> list[str]:
 
 
 def write_text(path: Path, text: str) -> None:
-    """Write via a temp file in the same directory, then atomic rename."""
+    """Write via a temp file in the same directory, then atomic rename.
+
+    mkstemp creates the file with mode 0600 whatever the umask, so the mode
+    an ordinary `open` would give is set before the rename.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

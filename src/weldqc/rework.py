@@ -23,7 +23,8 @@ import numpy as np
 
 from .bayes import BetaParams
 from .errors import DomainError
-from .streams import substream
+from .forecast import quantile_table
+from .streams import derive_seed, substream
 
 DEFAULT_ITERATIONS = 1000
 DEFAULT_EFFICIENCY = 1.2
@@ -108,11 +109,8 @@ def expected_rework_hours(
         raise DomainError(
             f"got {probs.size} probabilities for {len(specs)} products"
         )
-    matrices = transition_matrix(probs)
-    visits = fundamental_matrix(matrices)[0]
-    hours = np.array(
-        [s.efficiency * s.estimated_hours for s in specs]
-    ) * (visits - 1.0)
+    visits = fundamental_matrix(transition_matrix(probs))[0]
+    hours = _rework_hour_terms(specs) * (visits - 1.0)
     return hours, float(hours.sum())
 
 
@@ -147,10 +145,7 @@ class ReworkEstimate:
         return float(self.samples.mean())
 
     def quantiles(self, step: float = 0.10) -> list[tuple[float, float]]:
-        levels = np.arange(0.0, 1.0 + step / 2.0, step)
-        levels[-1] = min(levels[-1], 1.0)
-        values = np.quantile(self.samples, levels)
-        return [(float(q), float(v)) for q, v in zip(levels, values)]
+        return quantile_table(self.samples, step)
 
 
 def simulate_total_rework(
@@ -272,10 +267,9 @@ def control_chart(
         raise DomainError("actual results must be 0 (pass) or 1 (fail/reworked)")
     completed = len(actual_hours)
     if limits is None:
-        planning_seed = int(
-            np.random.SeedSequence([seed, 0]).generate_state(1, np.uint64)[0]
+        limits = control_limits(
+            simulate_total_rework(specs, iterations, derive_seed(seed, 0))
         )
-        limits = control_limits(simulate_total_rework(specs, iterations, planning_seed))
 
     terms = _rework_hour_terms(specs)
     points = []

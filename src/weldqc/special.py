@@ -85,7 +85,7 @@ def _betacf(x: float, a: float, b: float) -> float:
     )
 
 
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
+def beta_cdf(x: float, a: float, b: float) -> float:
     """I_x(a, b), the regularized incomplete beta function."""
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
@@ -104,10 +104,6 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return 1.0 - math.exp(
         b * math.log1p(-x) + a * math.log(x) - log_beta(b, a)
     ) * _betacf(1.0 - x, b, a) / b
-
-
-def beta_cdf(x: float, a: float, b: float) -> float:
-    return regularized_incomplete_beta(x, a, b)
 
 
 def _quantile_initial_guess(q: float, a: float, b: float) -> float:

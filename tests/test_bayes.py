@@ -7,7 +7,6 @@ from weldqc.bayes import (
     CountData,
     CredibleInterval,
     agresti_coull_interval,
-    beta_quantile,
     credible_interval,
     posterior,
     posterior_mean,
@@ -152,5 +151,5 @@ class TestClassicalIntervals:
 
 
 def test_quantile_matches_reference_medians():
-    assert beta_quantile(0.5, BetaParams(2.5, 98.5)) == pytest.approx(0.0217, abs=5e-4)
-    assert beta_quantile(0.5, BetaParams(2.5, 46.5)) == pytest.approx(0.0450, abs=5e-4)
+    assert BetaParams(2.5, 98.5).median == pytest.approx(0.0217, abs=5e-4)
+    assert BetaParams(2.5, 46.5).median == pytest.approx(0.0450, abs=5e-4)

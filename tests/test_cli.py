@@ -293,3 +293,115 @@ class TestConfigAndEnv:
         monkeypatch.setenv("WELDQC_OUT", str(tmp_path / "envout"))
         main(["interval", "--failed", "1", "--inspected", "10"])
         assert (tmp_path / "envout" / "interval.json").exists()
+
+
+def _json_bytes(document) -> bytes:
+    return json.dumps(document).encode()
+
+
+_EXPORT = "\n".join([HEADER] + ["11,BW,STD,2,Material A,0,1"] * 9 + ["11,BW,STD,2,Material A,0,2"])
+_COUNTS = b"label,inspected,repaired\na,10,1\nb,20,4\n"
+_DESIGN = _json_bytes({"types": {"t1": {"failed": 1, "inspected": 10}}, "welds": [{"key": "t1"}]})
+_PRODUCT = {"failed": 1, "inspected": 10, "estimated_hours": 2.0}
+_SPECS = _json_bytes({"products": [_PRODUCT]})
+
+# (files to write, argv with file names standing for their paths, exit code,
+#  text the error message must contain)
+MALFORMED_INPUTS = {
+    "counts-inspected-not-integer": (
+        {"counts.csv": b"label,inspected,repaired\na,10x,1\n"},
+        ["complexity", "--counts", "counts.csv"], 2, "counts row 1",
+    ),
+    "design-type-without-inspected": (
+        {"design.json": _json_bytes({"types": {"t1": {"failed": 1}}, "welds": [{"key": "t1"}]})},
+        ["forecast", "--design", "design.json"], 2, "inspected",
+    ),
+    "design-weld-count-text": (
+        {"design.json": _json_bytes({
+            "types": {"t1": {"failed": 1, "inspected": 10}},
+            "welds": [{"key": "t1", "count": "two"}],
+        })},
+        ["forecast", "--design", "design.json"], 2, "weld #1",
+    ),
+    "design-weld-not-object": (
+        {"design.json": _json_bytes({"welds": [1]})},
+        ["forecast", "--design", "design.json"], 2, "weld #1",
+    ),
+    "specs-hours-text": (
+        {"specs.json": _json_bytes({"products": [{**_PRODUCT, "estimated_hours": "abc"}]})},
+        ["rework", "--specs", "specs.json"], 2, "product #1",
+    ),
+    "specs-efficiency-text": (
+        {"specs.json": _json_bytes({"products": [{**_PRODUCT, "efficiency": "x"}]})},
+        ["rework", "--specs", "specs.json"], 2, "product #1",
+    ),
+    "specs-json-list": (
+        {"specs.json": b"[]"}, ["rework", "--specs", "specs.json"], 2, "JSON object",
+    ),
+    "actuals-hours-list": (
+        {"specs.json": _SPECS, "actuals.json": _json_bytes({"hours": ["a"], "results": [0]})},
+        ["rework", "--specs", "specs.json", "--actuals", "actuals.json"], 2, "actuals",
+    ),
+    "export-missing": ({}, ["summarize", "--input", "export.csv"], 2, "cannot read input"),
+    "export-field-over-csv-limit": (
+        {"export.csv": (_EXPORT + "\n11,BW,STD,2," + "x" * 200_000 + ",0,1\n").encode()},
+        ["summarize", "--input", "export.csv"], 2, "field limit",
+    ),
+    "export-not-utf8": (
+        {"export.csv": (_EXPORT + "\n11,BW,STD,2,Mat\xe9rial A,0,1\n").encode("latin-1")},
+        ["summarize", "--input", "export.csv"], 2, "UTF-8",
+    ),
+    "config-iterations-text": (
+        {"design.json": _DESIGN, "config.json": _json_bytes({"iterations": "abc"})},
+        ["forecast", "--design", "design.json", "--config", "config.json"], 3, "iterations",
+    ),
+    "config-top-text": (
+        {"counts.csv": _COUNTS, "config.json": _json_bytes({"top": "x"})},
+        ["complexity", "--counts", "counts.csv", "--config", "config.json"], 3, "top",
+    ),
+    "config-prior-one-value": (
+        {"config.json": _json_bytes({"prior": [1]})},
+        ["interval", "--failed", "1", "--inspected", "10", "--config", "config.json"], 3, "prior",
+    ),
+    "config-flag-not-boolean": (
+        {"config.json": _json_bytes({"classical": "no"})},
+        ["interval", "--failed", "1", "--inspected", "10", "--config", "config.json"], 3,
+        "classical",
+    ),
+    "config-delimiter-two-characters": (
+        {"counts.csv": _COUNTS, "config.json": _json_bytes({"delimiter": "ab"})},
+        ["complexity", "--counts", "counts.csv", "--config", "config.json"], 3, "delimiter",
+    ),
+    "config-not-utf8": (
+        {"config.json": b"\xff\xfe{}"},
+        ["interval", "--failed", "1", "--inspected", "10", "--config", "config.json"], 3,
+        "config",
+    ),
+    "operators-negative-seed": (
+        {"export.csv": _EXPORT.encode()},
+        ["operators", "--input", "export.csv", "--min-inspected", "1",
+         "--iterations", "300", "--resamples", "10", "--seed", "-1"], 3, "seed",
+    ),
+    "rework-negative-seed": (
+        {"specs.json": _SPECS}, ["rework", "--specs", "specs.json", "--seed", "-1"], 3, "seed",
+    ),
+    "forecast-negative-seed": (
+        {"design.json": _DESIGN}, ["forecast", "--design", "design.json", "--seed", "-1"], 3,
+        "seed",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_maps_to_exit_code(case, tmp_path, capsys):
+    files, argv, expected_code, needle = MALFORMED_INPUTS[case]
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    out = tmp_path / "out"
+    argv = [str(tmp_path / arg) if arg.endswith((".csv", ".json")) else arg for arg in argv]
+    code = main(argv + ["--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == expected_code
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+    assert not out.exists() or not any(out.iterdir())

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -51,6 +53,15 @@ class TestWriters:
         report.write_text(path, "world")
         assert path.read_text() == "world"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_atomic_write_respects_umask(self, tmp_path):
+        path = tmp_path / "out.txt"
+        previous = os.umask(0o022)
+        try:
+            report.write_text(path, "hello")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
     def test_svg_carries_meta_comment(self, tmp_path):
         info = report.meta("demo", {"k": 1}, seed=0)
