@@ -34,8 +34,13 @@ SCALE_MAX = 10.0
 
 def hellinger(p: BetaParams, q: BetaParams) -> float:
     """Closed-form Hellinger distance between two Beta distributions."""
+    return _hellinger(p, q, special.log_beta(p.a, p.b), special.log_beta(q.a, q.b))
+
+
+def _hellinger(p: BetaParams, q: BetaParams, log_p: float, log_q: float) -> float:
+    # log_p, log_q are log B of p and q, passed in so a matrix computes each once
     log_ratio = special.log_beta((p.a + q.a) / 2.0, (p.b + q.b) / 2.0) - 0.5 * (
-        special.log_beta(p.a, p.b) + special.log_beta(q.a, q.b)
+        log_p + log_q
     )
     # exact rounding can push 1 - r a hair below 0 for near-identical shapes
     inner = min(max(1.0 - math.exp(log_ratio), 0.0), 1.0)
@@ -74,10 +79,13 @@ def distance_matrix(
     if not posteriors:
         raise DomainError("need at least one posterior")
     n = len(posteriors)
+    log_b = [special.log_beta(p.a, p.b) for p in posteriors]
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            values[i, j] = values[j, i] = hellinger(posteriors[i], posteriors[j])
+            values[i, j] = values[j, i] = _hellinger(
+                posteriors[i], posteriors[j], log_b[i], log_b[j]
+            )
     return HellingerMatrix(_default_labels(n, labels), values)
 
 
@@ -86,10 +94,14 @@ def profile_distance_matrix(matrix: HellingerMatrix) -> HellingerMatrix:
 
     Row i is product i's distance profile against every product; two products
     are close when they sit at similar distances from everything else.
+    Computed one row at a time, so memory stays O(n^2).  Each row fills only
+    its upper part and is mirrored: (x - y)^2 == (y - x)^2 exactly, so the
+    result equals the full computation bit for bit.
     """
     rows = matrix.values
-    diff = rows[:, None, :] - rows[None, :, :]
-    values = np.sqrt((diff**2).sum(axis=2))
+    values = np.empty(rows.shape)
+    for i in range(len(rows)):
+        values[i, i:] = values[i:, i] = np.sqrt(((rows[i] - rows[i:]) ** 2).sum(axis=1))
     return HellingerMatrix(matrix.labels, values)
 
 
@@ -165,10 +177,22 @@ class ClusterTree:
     merges: tuple[Merge, ...]
 
     def members(self, cluster_id: int) -> frozenset[int]:
-        if cluster_id < self.n_leaves:
-            return frozenset([cluster_id])
-        merge = self.merges[cluster_id - self.n_leaves]
-        return self.members(merge.left) | self.members(merge.right)
+        return frozenset(_leaves(self, cluster_id))
+
+
+def _leaves(tree: ClusterTree, cluster_id: int) -> list[int]:
+    # left subtree first; an explicit stack, since chained trees run deeper
+    # than the interpreter's recursion limit
+    order: list[int] = []
+    pending = [cluster_id]
+    while pending:
+        node = pending.pop()
+        if node < tree.n_leaves:
+            order.append(node)
+        else:
+            merge = tree.merges[node - tree.n_leaves]
+            pending += (merge.right, merge.left)
+    return order
 
 
 def agglomerative_cluster(matrix: HellingerMatrix) -> ClusterTree:
@@ -176,36 +200,45 @@ def agglomerative_cluster(matrix: HellingerMatrix) -> ClusterTree:
 
     Cluster distance is the largest pairwise member distance.  Equal-distance
     merge candidates are resolved by the lexicographically smallest cluster-id
-    pair, so the dendrogram is identical across runs and platforms.
+    pair, so the dendrogram is identical across runs and platforms.  Only the
+    upper triangle of the matrix is read.
+
+    The working matrix holds one slot per active cluster (retired slots and
+    the diagonal are inf); a merge writes the elementwise maximum of its two
+    rows into the lower slot (the Lance-Williams update for complete
+    linkage).  Each slot's smallest distance is cached and recomputed only
+    when the merge may have removed it.
     """
     n = matrix.size
-    dist = matrix.values
-    members: dict[int, frozenset[int]] = {i: frozenset([i]) for i in range(n)}
-    # complete-linkage distance between active clusters, updated per merge
-    cluster_dist: dict[tuple[int, int], float] = {
-        (i, j): float(dist[i, j]) for i in range(n) for j in range(i + 1, n)
-    }
+    upper = np.triu_indices(n, 1)
+    pairs = matrix.values[upper]
+    if not np.all(np.isfinite(pairs)):
+        raise DomainError("distances must be finite")
+    dist = np.full((n, n), np.inf)
+    dist[upper] = dist[upper[::-1]] = pairs
+    cluster_id = np.arange(n)
+    nearest = dist.min(axis=1, initial=np.inf)
     merges: list[Merge] = []
-    next_id = n
-    while len(members) > 1:
-        (left, right), height = min(
-            cluster_dist.items(), key=lambda item: (item[1], item[0])
-        )
-        merged = members[left] | members[right]
-        for other in members:
-            if other in (left, right):
-                continue
-            d = max(
-                cluster_dist[(min(left, other), max(left, other))],
-                cluster_dist[(min(right, other), max(right, other))],
-            )
-            cluster_dist[(min(other, next_id), max(other, next_id))] = d
-        for pair in [k for k in cluster_dist if left in k or right in k]:
-            del cluster_dist[pair]
-        del members[left], members[right]
-        members[next_id] = merged
-        merges.append(Merge(left=left, right=right, height=height))
-        next_id += 1
+    for step in range(n - 1):
+        height = nearest.min()
+        tied = np.flatnonzero(nearest == height)
+        rows, cols = np.nonzero(dist[tied] == height)
+        rows = tied[rows]
+        low = np.minimum(cluster_id[rows], cluster_id[cols])
+        high = np.maximum(cluster_id[rows], cluster_id[cols])
+        best = np.argmin(low * (2 * n) + high)
+        a, b = sorted((rows[best], cols[best]))
+        merges.append(Merge(left=int(low[best]), right=int(high[best]), height=float(height)))
+        # rows whose nearest cluster may have been a or b
+        stale = (nearest == dist[a]) | (nearest == dist[b])
+        dist[a] = dist[:, a] = np.maximum(dist[a], dist[b])
+        dist[a, a] = np.inf
+        dist[b] = dist[:, b] = np.inf
+        nearest[b] = np.inf
+        stale[a] = True
+        stale &= np.isfinite(nearest)
+        nearest[stale] = dist[stale].min(axis=1)
+        cluster_id[a] = n + step
     return ClusterTree(n_leaves=n, labels=matrix.labels, merges=tuple(merges))
 
 
@@ -303,14 +336,7 @@ def tree_to_dict(tree: ClusterTree) -> dict:
 
 def leaf_order(tree: ClusterTree) -> list[int]:
     """Crossing-free left-to-right leaf order for plotting."""
-
-    def walk(cluster_id: int) -> list[int]:
-        if cluster_id < tree.n_leaves:
-            return [cluster_id]
-        merge = tree.merges[cluster_id - tree.n_leaves]
-        return walk(merge.left) + walk(merge.right)
-
-    return walk(tree.n_leaves + len(tree.merges) - 1) if tree.merges else [0]
+    return _leaves(tree, tree.n_leaves + len(tree.merges) - 1) if tree.merges else [0]
 
 
 def dendrogram_segments(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from scipy import integrate
 
 from weldqc.bayes import JEFFREYS, BetaParams, CountData, posterior
 from weldqc.complexity import (
+    HellingerMatrix,
+    Merge,
     agglomerative_cluster,
     complexity_order,
     complexity_scores,
@@ -19,6 +22,7 @@ from weldqc.complexity import (
     tree_to_dict,
 )
 from weldqc.errors import DomainError
+from weldqc.render import dendrogram_svg
 
 from refdata import (
     EIGHT_PRODUCT_COUNTS,
@@ -108,6 +112,38 @@ class TestDistanceMatrix:
         matrix = profile_distance_matrix(distance_matrix(eight_posteriors()))
         assert np.all(np.diag(matrix.values) == 0.0)
         np.testing.assert_allclose(matrix.values, matrix.values.T)
+
+    def test_entries_equal_pairwise_hellinger_exactly(self):
+        rng = np.random.default_rng(7)
+        posteriors = [random_params(rng) for _ in range(25)]
+        values = distance_matrix(posteriors).values
+        for i, p in enumerate(posteriors):
+            for j, q in enumerate(posteriors):
+                if i != j:
+                    assert values[i, j] == hellinger(p, q)
+
+
+class TestProfileMatrix:
+    def test_equals_broadcast_formula(self):
+        rng = np.random.default_rng(8)
+        matrix = distance_matrix([random_params(rng) for _ in range(50)])
+        rows = matrix.values
+        expected = np.sqrt(((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2))
+        assert np.array_equal(profile_distance_matrix(matrix).values, expected)
+
+    def test_memory_is_quadratic(self):
+        n = 300
+        rng = np.random.default_rng(9)
+        values = np.triu(rng.random((n, n)), 1)
+        matrix = HellingerMatrix(tuple(map(str, range(n))), values + values.T)
+        tracemalloc.start()
+        try:
+            profile_distance_matrix(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the n x n x n difference tensor alone would need n**3 * 8 bytes
+        assert peak < 4 * n * n * 8
 
 
 class TestOrderingAndScores:
@@ -203,11 +239,62 @@ class TestClustering:
 
     def test_tie_break_is_lexicographic(self):
         # equilateral triangle: first merge must join leaves 0 and 1
-        from weldqc.complexity import HellingerMatrix
-
         values = np.array([[0.0, 0.3, 0.3], [0.3, 0.0, 0.3], [0.3, 0.3, 0.0]])
         tree = agglomerative_cluster(HellingerMatrix(("a", "b", "c"), values))
         assert (tree.merges[0].left, tree.merges[0].right) == (0, 1)
+
+    def test_matches_reference_loop_on_tied_matrices(self):
+        # small integer distances tie often, between leaves and merged clusters
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            n = int(rng.integers(2, 41))
+            values = np.triu(rng.integers(0, 5, size=(n, n)).astype(float), 1)
+            matrix = HellingerMatrix(tuple(map(str, range(n))), values + values.T)
+            assert agglomerative_cluster(matrix).merges == _reference_linkage(matrix)
+
+    @pytest.mark.parametrize("n", [35, 200, 400])
+    def test_heights_match_scipy(self, n):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        distance = pytest.importorskip("scipy.spatial.distance")
+        rng = np.random.default_rng(n)
+        values = np.triu(rng.random((n, n)), 1)
+        values = values + values.T
+        tree = agglomerative_cluster(HellingerMatrix(tuple(map(str, range(n))), values))
+        expected = hierarchy.linkage(distance.squareform(values), "complete")[:, 2]
+        assert np.array_equal([m.height for m in tree.merges], expected)
+
+    def test_rejects_non_finite_distances(self):
+        values = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        with pytest.raises(DomainError):
+            agglomerative_cluster(HellingerMatrix(("a", "b"), values))
+
+
+def _reference_linkage(matrix):
+    """Scalar dict-based complete linkage: the reference for the tie-break."""
+    n = matrix.size
+    dist = matrix.values
+    members = {i: frozenset([i]) for i in range(n)}
+    cluster_dist = {(i, j): float(dist[i, j]) for i in range(n) for j in range(i + 1, n)}
+    merges = []
+    next_id = n
+    while len(members) > 1:
+        (left, right), height = min(cluster_dist.items(), key=lambda item: (item[1], item[0]))
+        merged = members[left] | members[right]
+        for other in members:
+            if other in (left, right):
+                continue
+            d = max(
+                cluster_dist[(min(left, other), max(left, other))],
+                cluster_dist[(min(right, other), max(right, other))],
+            )
+            cluster_dist[(min(other, next_id), max(other, next_id))] = d
+        for pair in [k for k in cluster_dist if left in k or right in k]:
+            del cluster_dist[pair]
+        del members[left], members[right]
+        members[next_id] = merged
+        merges.append(Merge(left=left, right=right, height=height))
+        next_id += 1
+    return tuple(merges)
 
 
 def _partition(assignment):
@@ -258,3 +345,18 @@ class TestExports:
         segments = dendrogram_segments(tree)
         assert len(segments) == 3 * len(tree.merges)
         assert sorted(leaf_order(tree)) == list(range(8))
+
+    def test_deep_chained_tree(self):
+        # d(i, j) = max(i, j) merges one leaf at a time: a tree 1,099 levels deep
+        n = 1100
+        index = np.arange(n)
+        values = np.maximum.outer(index, index).astype(float)
+        np.fill_diagonal(values, 0.0)
+        tree = agglomerative_cluster(HellingerMatrix(tuple(map(str, index)), values))
+        assert tree.merges[0] == Merge(left=0, right=1, height=1.0)
+        assert tree.merges[-1] == Merge(left=n - 1, right=2 * n - 3, height=float(n - 1))
+        # each merge puts the new leaf (the smaller id) left of the chain
+        assert leaf_order(tree) == list(range(n - 1, 1, -1)) + [0, 1]
+        assert len(dendrogram_segments(tree)) == 3 * (n - 1)
+        assert dendrogram_svg(tree).count("<line") == 3 * (n - 1)
+        assert tree.members(2 * n - 2) == frozenset(range(n))
