@@ -1,9 +1,11 @@
 """Command-line surface tying the analytics modules together.
 
 Subcommands: summarize, interval, operators, complexity, forecast, rework.
-Options resolve in three layers: built-in defaults, then a JSON config file
-(--config), then explicit flags.  Every stochastic command runs under an
-explicit or defaulted seed that is echoed into each output file.
+Each option is declared once, in COMMANDS, and is both a config key and a
+flag.  Options resolve in three layers: built-in defaults, then a JSON config
+file (--config), then explicit flags; _resolve coerces or rejects a value from
+either source.  Every stochastic command runs under an explicit or defaulted
+seed that is echoed into each output file.
 
 Exit codes: 0 success, 2 input/schema error, 3 configuration error,
 4 numeric/domain error.
@@ -16,8 +18,9 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__, ab, complexity, forecast, mcmc, render, report, rework
@@ -51,16 +54,30 @@ def _strings(value) -> list[str]:
     return value
 
 
+def _operator_grouping(value) -> list[str]:
+    if "operator_id" not in _strings(value):
+        raise ValueError("operators are compared per operator_id, so it must be listed")
+    return value
+
+
 def _choice(*allowed: str):
     def check(value) -> str:
         if value not in allowed:
             raise ValueError(f"expected one of {allowed}")
         return value
 
+    check.metavar = "{%s}" % ",".join(a.encode("unicode_escape").decode() for a in allowed)
     return check
 
 
-_DELIMITER = _choice(",", "tab", ";", "\\t", "\t")
+def _at_least(low: int):
+    def check(value) -> int:
+        value = int(value)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}")
+        return value
+
+    return check
 
 
 def _pair(value) -> list[float]:
@@ -71,28 +88,58 @@ def _pair(value) -> list[float]:
 _REQUIRED = object()
 
 
-def _resolve(args: argparse.Namespace, options: dict, file_config: dict) -> dict:
-    """defaults <- config file <- explicit CLI flags, each coerced to its type.
+@dataclass(frozen=True)
+class Option:
+    """One command option: a config key and a `--flag` of the same name.
 
-    `options` maps every option of a command to its (default, type); a null
-    config value means the default, and a _REQUIRED default must be set.
+    `coerce` accepts or rejects a value from either source.  `flag` holds the
+    add_argument keywords of a flag that is not a plain `--name value`; none
+    of them converts or checks a value.  `spelling` replaces `--name`.
     """
-    options = {**options, "out_dir": (None, str)}
+
+    default: object
+    coerce: Callable[[object], object]
+    flag: dict = field(default_factory=dict)
+    spelling: str | None = None
+
+    def flag_name(self, name: str) -> str:
+        return self.spelling or "--" + name.replace("_", "-")
+
+
+class _CommaList(argparse.Action):
+    """`--group-by a,b` gives ["a", "b"]; a config file gives the list itself."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values.split(","))
+
+
+#: options of every command, besides --config
+_COMMON = {
+    "out_dir": Option(None, str, {"help": f"output directory (default ${OUT_DIR_ENV} or .)"}),
+}
+
+
+def _resolve(args: argparse.Namespace, options: dict[str, Option], file_config: dict) -> dict:
+    """defaults <- config file <- explicit CLI flags, each coerced by its Option.
+
+    A null config value means the default, and a _REQUIRED default must be set.
+    """
+    options = {**options, **_COMMON}
     unknown = set(file_config) - set(options)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     resolved = {}
-    for key, (default, kind) in options.items():
+    for key, option in options.items():
         value = getattr(args, key, None)
         if value is None:
             value = file_config.get(key)
         if value is None:
-            value = default
+            value = option.default
         if value is _REQUIRED:
-            raise ConfigError(f"{args.command} requires --{key.replace('_', '-')}")
+            raise ConfigError(f"{args.command} requires {option.flag_name(key)}")
         if value is not None:
             try:
-                value = kind(value)
+                value = option.coerce(value)
             except (OverflowError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value {value!r} for {key}: {exc}")
         resolved[key] = value
@@ -166,15 +213,7 @@ def _load_summaries(resolved: dict) -> tuple[list, dict]:
 # ---------------------------------------------------------------- summarize
 
 
-def cmd_summarize(args: argparse.Namespace, file_config: dict) -> int:
-    options = {
-        "input": (_REQUIRED, str),
-        "delimiter": (",", _DELIMITER),
-        "group_by": (list(DEFAULT_GROUP_BY), _strings),
-        "where": ([], _strings),
-        "min_inspected": (0, int),
-    }
-    resolved = _resolve(args, options, file_config)
+def cmd_summarize(resolved: dict) -> int:
     summaries, ingest_info = _load_summaries(resolved)
     summaries = filter_summaries(summaries, min_inspected=resolved["min_inspected"])
 
@@ -215,15 +254,7 @@ def cmd_summarize(args: argparse.Namespace, file_config: dict) -> int:
 # ------------------------------------------------------------------ interval
 
 
-def cmd_interval(args: argparse.Namespace, file_config: dict) -> int:
-    options = {
-        "failed": (_REQUIRED, int),
-        "inspected": (_REQUIRED, int),
-        "alpha": (0.05, float),
-        "prior": ([0.5, 0.5], _pair),
-        "classical": (False, _flag),
-    }
-    resolved = _resolve(args, options, file_config)
+def cmd_interval(resolved: dict) -> int:
     counts = CountData(resolved["failed"], resolved["inspected"])
     prior = BetaParams(*resolved["prior"])
     alpha = resolved["alpha"]
@@ -260,26 +291,7 @@ def cmd_interval(args: argparse.Namespace, file_config: dict) -> int:
 # ----------------------------------------------------------------- operators
 
 
-def cmd_operators(args: argparse.Namespace, file_config: dict) -> int:
-    options = {
-        "input": (_REQUIRED, str),
-        "delimiter": (",", _DELIMITER),
-        "where": ([], _strings),
-        "nps": (None, str),
-        "schedule": (None, str),
-        "material": (None, str),
-        "weld_kind": (None, str),
-        "min_inspected": (100, int),
-        "prior": ([0.5, 0.5], _pair),
-        "alpha": (0.05, float),
-        "iterations": (10_000, int),
-        "burn_in": (200, int),
-        "proposal_sd": (0.05, float),
-        "resamples": (ab.DEFAULT_RESAMPLES, int),
-        "seed": (0, int),
-        "group_by": (list(DEFAULT_GROUP_BY) + ["operator_id"], _strings),
-    }
-    resolved = _resolve(args, options, file_config)
+def cmd_operators(resolved: dict) -> int:
     summaries, _ = _load_summaries(resolved)
     key_filter = {
         f: resolved[f]
@@ -396,19 +408,7 @@ def _counts_from_file(path: str, delimiter: str) -> list[dict]:
     return rows
 
 
-def cmd_complexity(args: argparse.Namespace, file_config: dict) -> int:
-    options = {
-        "input": (None, str),
-        "counts": (None, str),
-        "delimiter": (",", _DELIMITER),
-        "where": ([], _strings),
-        "group_by": (list(DEFAULT_GROUP_BY), _strings),
-        "top": (None, int),
-        "clusters": (None, int),
-        "cluster_on": ("profile", _choice("profile", "hellinger")),
-        "prior": ([0.5, 0.5], _pair),
-    }
-    resolved = _resolve(args, options, file_config)
+def cmd_complexity(resolved: dict) -> int:
     if resolved["counts"]:
         rows = _counts_from_file(resolved["counts"], _delimiter(resolved))
     elif resolved["input"]:
@@ -427,8 +427,7 @@ def cmd_complexity(args: argparse.Namespace, file_config: dict) -> int:
 
     totals_known = all(r["total"] is not None for r in rows)
     rows.sort(key=lambda r: (-(r["total"] if totals_known else r["inspected"]), r["label"]))
-    if resolved["top"]:
-        rows = rows[: resolved["top"]]
+    rows = rows[: resolved["top"]]
 
     prior = BetaParams(*resolved["prior"])
     posteriors = [
@@ -534,16 +533,7 @@ def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
     return forecast.ProjectDesign.from_type_counts(entries, posteriors)
 
 
-def cmd_forecast(args: argparse.Namespace, file_config: dict) -> int:
-    options = {
-        "design": (_REQUIRED, str),
-        "iterations": (forecast.DEFAULT_ITERATIONS, int),
-        "seed": (0, int),
-        "mode": ("average", str),
-        "prior": ([0.5, 0.5], _pair),
-        "keep_samples": (True, _flag),
-    }
-    resolved = _resolve(args, options, file_config)
+def cmd_forecast(resolved: dict) -> int:
     design = _load_design(resolved["design"], BetaParams(*resolved["prior"]))
     result = forecast.simulate_project(
         design,
@@ -607,16 +597,7 @@ def _load_actuals(path: str | None) -> tuple[list[float], list[int]]:
     return hours, results
 
 
-def cmd_rework(args: argparse.Namespace, file_config: dict) -> int:
-    options = {
-        "specs": (_REQUIRED, str),
-        "actuals": (None, str),
-        "iterations": (rework.DEFAULT_ITERATIONS, int),
-        "seed": (0, int),
-        "prior": ([0.5, 0.5], _pair),
-        "update_posteriors": (False, _flag),
-    }
-    resolved = _resolve(args, options, file_config)
+def cmd_rework(resolved: dict) -> int:
     specs = _load_specs(resolved["specs"], BetaParams(*resolved["prior"]))
     hours, results = _load_actuals(resolved["actuals"])
     seed = resolved["seed"]
@@ -672,100 +653,108 @@ def cmd_rework(args: argparse.Namespace, file_config: dict) -> int:
 # -------------------------------------------------------------------- parser
 
 
+_INPUT = Option(_REQUIRED, str)
+_DELIMITER = Option(",", _choice(",", "tab", ";", "\\t", "\t"))
+_WHERE = Option([], _strings, {"action": "append", "metavar": "FIELD=VALUE"})
+_GROUP_BY = Option(list(DEFAULT_GROUP_BY), _strings, {"action": _CommaList})
+_PRIOR = Option([0.5, 0.5], _pair, {"nargs": 2, "metavar": ("A", "B")})
+_SEED = Option(0, int)
+
+#: command -> (handler, help, options): the one declaration of every option
+COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
+    "summarize": (cmd_summarize, "parse, clean and group raw inspection exports", {
+        "input": _INPUT,
+        "delimiter": _DELIMITER,
+        "group_by": _GROUP_BY,
+        "where": _WHERE,
+        "min_inspected": Option(0, _at_least(0)),
+    }),
+    "interval": (cmd_interval, "credible interval for failure counts", {
+        "failed": Option(_REQUIRED, int),
+        "inspected": Option(_REQUIRED, int),
+        "alpha": Option(0.05, float),
+        "prior": _PRIOR,
+        "classical": Option(False, _flag, {
+            "action": "store_true",
+            "help": "also report Wald, Wilson and Agresti-Coull intervals",
+        }),
+    }),
+    "operators": (cmd_operators, "rank operators and compare them pairwise", {
+        "input": _INPUT,
+        "delimiter": _DELIMITER,
+        "where": _WHERE,
+        "nps": Option(None, str),
+        "schedule": Option(None, str),
+        "material": Option(None, str),
+        "weld_kind": Option(None, str),
+        "min_inspected": Option(100, _at_least(0)),
+        "prior": _PRIOR,
+        "iterations": Option(10_000, int),
+        "burn_in": Option(200, int),
+        "proposal_sd": Option(0.05, float),
+        "resamples": Option(ab.DEFAULT_RESAMPLES, int),
+        "seed": _SEED,
+        "group_by": Option(
+            list(DEFAULT_GROUP_BY) + ["operator_id"], _operator_grouping, {"action": _CommaList}
+        ),
+    }),
+    "complexity": (cmd_complexity, "score and cluster product complexity", {
+        "input": Option(None, str, {"help": "raw inspection export"}),
+        "counts": Option(None, str, {"help": "counts table: label,inspected,repaired[,total]"}),
+        "delimiter": _DELIMITER,
+        "where": _WHERE,
+        "group_by": _GROUP_BY,
+        "top": Option(None, _at_least(1), {"help": "keep the N largest product types"}),
+        "clusters": Option(None, _at_least(1), {"help": "number of clusters (default min(7, N))"}),
+        "cluster_on": Option("profile", _choice("profile", "hellinger")),
+        "prior": _PRIOR,
+    }),
+    "forecast": (cmd_forecast, "Monte Carlo project nonconformance forecast", {
+        "design": Option(_REQUIRED, str, {"help": "JSON project design file"}),
+        "iterations": Option(forecast.DEFAULT_ITERATIONS, int),
+        "seed": _SEED,
+        "mode": Option("average", _choice("average", "mixture")),
+        "prior": _PRIOR,
+        "keep_samples": Option(True, _flag, {"action": "store_false"}, "--no-samples"),
+    }),
+    "rework": (cmd_rework, "rework man-hour estimate and control chart", {
+        "specs": Option(_REQUIRED, str, {"help": "JSON product specs file"}),
+        "actuals": Option(None, str, {"help": "JSON actual hours/results file"}),
+        "iterations": Option(rework.DEFAULT_ITERATIONS, int),
+        "seed": _SEED,
+        "prior": _PRIOR,
+        "update_posteriors": Option(False, _flag, {
+            "action": "store_true",
+            "help": "fold observed project outcomes into remaining posteriors",
+        }),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per option of COMMANDS; values are coerced later, by _resolve."""
     parser = argparse.ArgumentParser(
         prog="weldqc",
         description="Bayesian quality analytics for pass/fail inspection data",
     )
     parser.add_argument("--version", action="version", version=f"weldqc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (_, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out-dir", dest="out_dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
-
-    p = sub.add_parser("summarize", help="parse, clean and group raw inspection exports")
-    common(p)
-    p.add_argument("--input")
-    p.add_argument("--delimiter", choices=[",", "tab", ";"])
-    p.add_argument("--group-by", dest="group_by", type=lambda s: s.split(","))
-    p.add_argument("--where", action="append", metavar="FIELD=VALUE")
-    p.add_argument("--min-inspected", dest="min_inspected", type=int)
-    p.set_defaults(func=cmd_summarize)
-
-    p = sub.add_parser("interval", help="credible interval for failure counts")
-    common(p)
-    p.add_argument("--failed", type=int)
-    p.add_argument("--inspected", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--prior", nargs=2, type=float, metavar=("A", "B"))
-    p.add_argument("--classical", action="store_true", default=None,
-                   help="also report Wald, Wilson and Agresti-Coull intervals")
-    p.set_defaults(func=cmd_interval)
-
-    p = sub.add_parser("operators", help="rank operators and compare them pairwise")
-    common(p)
-    p.add_argument("--input")
-    p.add_argument("--delimiter", choices=[",", "tab", ";"])
-    p.add_argument("--where", action="append", metavar="FIELD=VALUE")
-    p.add_argument("--nps")
-    p.add_argument("--schedule")
-    p.add_argument("--material")
-    p.add_argument("--weld-kind", dest="weld_kind")
-    p.add_argument("--min-inspected", dest="min_inspected", type=int)
-    p.add_argument("--prior", nargs=2, type=float, metavar=("A", "B"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--proposal-sd", dest="proposal_sd", type=float)
-    p.add_argument("--resamples", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_operators)
-
-    p = sub.add_parser("complexity", help="score and cluster product complexity")
-    common(p)
-    p.add_argument("--input", help="raw inspection export")
-    p.add_argument("--counts", help="counts table: label,inspected,repaired[,total]")
-    p.add_argument("--delimiter", choices=[",", "tab", ";"])
-    p.add_argument("--where", action="append", metavar="FIELD=VALUE")
-    p.add_argument("--group-by", dest="group_by", type=lambda s: s.split(","))
-    p.add_argument("--top", type=int, help="keep the N largest product types")
-    p.add_argument("--clusters", type=int, help="number of clusters (default min(7, N))")
-    p.add_argument("--cluster-on", dest="cluster_on", choices=["profile", "hellinger"])
-    p.add_argument("--prior", nargs=2, type=float, metavar=("A", "B"))
-    p.set_defaults(func=cmd_complexity)
-
-    p = sub.add_parser("forecast", help="Monte Carlo project nonconformance forecast")
-    common(p)
-    p.add_argument("--design", help="JSON project design file")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=["average", "mixture"])
-    p.add_argument("--prior", nargs=2, type=float, metavar=("A", "B"))
-    p.add_argument("--no-samples", dest="keep_samples", action="store_false", default=None)
-    p.set_defaults(func=cmd_forecast)
-
-    p = sub.add_parser("rework", help="rework man-hour estimate and control chart")
-    common(p)
-    p.add_argument("--specs", help="JSON product specs file")
-    p.add_argument("--actuals", help="JSON actual hours/results file")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--prior", nargs=2, type=float, metavar=("A", "B"))
-    p.add_argument("--update-posteriors", dest="update_posteriors",
-                   action="store_true", default=None,
-                   help="fold observed project outcomes into remaining posteriors")
-    p.set_defaults(func=cmd_rework)
-
+        for name, option in {**_COMMON, **options}.items():
+            metavar = getattr(option.coerce, "metavar", None)
+            keywords = {"metavar": metavar, **option.flag} if metavar else option.flag
+            p.add_argument(option.flag_name(name), dest=name, default=None, **keywords)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, options = COMMANDS[args.command]
     try:
         file_config = _read_json(args.config, "config", ConfigError) if args.config else {}
-        return args.func(args, file_config)
+        return handler(_resolve(args, options, file_config))
     except WeldQCError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 4)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from weldqc.cli import main
+from weldqc import report
+from weldqc.cli import COMMANDS, main
 
 from refdata import (
     EIGHT_PRODUCT_COUNTS,
@@ -389,6 +390,41 @@ MALFORMED_INPUTS = {
         {"design.json": _DESIGN}, ["forecast", "--design", "design.json", "--seed", "-1"], 3,
         "seed",
     ),
+    "flag-seed-text": (
+        {"design.json": _DESIGN}, ["forecast", "--design", "design.json", "--seed", "abc"], 3,
+        "seed",
+    ),
+    "flag-iterations-text": (
+        {"specs.json": _SPECS}, ["rework", "--specs", "specs.json", "--iterations", "x"], 3,
+        "iterations",
+    ),
+    "flag-mode-unknown": (
+        {"design.json": _DESIGN}, ["forecast", "--design", "design.json", "--mode", "bogus"], 3,
+        "mode",
+    ),
+    "config-operators-group-by-without-operator": (
+        {"export.csv": _EXPORT.encode(), "config.json": _json_bytes(
+            {"group_by": ["nps", "schedule", "material", "weld_kind"]}
+        )},
+        ["operators", "--input", "export.csv", "--min-inspected", "1", "--config", "config.json"],
+        3, "group_by",
+    ),
+    "config-operators-alpha": (
+        {"export.csv": _EXPORT.encode(), "config.json": _json_bytes({"alpha": 0.5})},
+        ["operators", "--input", "export.csv", "--min-inspected", "1", "--config", "config.json"],
+        3, "alpha",
+    ),
+    "flag-top-zero": (
+        {"counts.csv": _COUNTS}, ["complexity", "--counts", "counts.csv", "--top", "0"], 3, "top",
+    ),
+    "flag-clusters-zero": (
+        {"counts.csv": _COUNTS}, ["complexity", "--counts", "counts.csv", "--clusters", "0"], 3,
+        "clusters",
+    ),
+    "config-min-inspected-negative": (
+        {"export.csv": _EXPORT.encode(), "config.json": _json_bytes({"min_inspected": -1})},
+        ["summarize", "--input", "export.csv", "--config", "config.json"], 3, "min_inspected",
+    ),
 }
 
 
@@ -405,3 +441,100 @@ def test_malformed_input_maps_to_exit_code(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert needle in err
     assert not out.exists() or not any(out.iterdir())
+
+
+# a value other than the default for every option: (flag arguments, config value)
+OPTION_SAMPLES = {
+    "input": (["--input", "export.csv"], "export.csv"),
+    "counts": (["--counts", "counts.csv"], "counts.csv"),
+    "design": (["--design", "design.json"], "design.json"),
+    "specs": (["--specs", "specs.json"], "specs.json"),
+    "actuals": (["--actuals", "actuals.json"], "actuals.json"),
+    "out_dir": (["--out-dir", "out"], "out"),
+    "delimiter": (["--delimiter", "\\t"], "\\t"),
+    "group_by": (["--group-by", "nps,operator_id"], ["nps", "operator_id"]),
+    "where": (["--where", "nps=2", "--where", "schedule=STD"], ["nps=2", "schedule=STD"]),
+    "min_inspected": (["--min-inspected", "7"], 7),
+    "failed": (["--failed", "3"], 3),
+    "inspected": (["--inspected", "30"], "30"),
+    "alpha": (["--alpha", "0.1"], 0.1),
+    "prior": (["--prior", "1", "2.5"], [1, 2.5]),
+    "classical": (["--classical"], True),
+    "nps": (["--nps", "2"], "2"),
+    "schedule": (["--schedule", "STD"], "STD"),
+    "material": (["--material", "Material A"], "Material A"),
+    "weld_kind": (["--weld-kind", "BW"], "BW"),
+    "iterations": (["--iterations", "50"], 50),
+    "burn_in": (["--burn-in", "10"], 10),
+    "proposal_sd": (["--proposal-sd", "0.2"], 0.2),
+    "resamples": (["--resamples", "100"], 100),
+    "seed": (["--seed", "5"], 5),
+    "top": (["--top", "3"], 3),
+    "clusters": (["--clusters", "2"], 2),
+    "cluster_on": (["--cluster-on", "hellinger"], "hellinger"),
+    "mode": (["--mode", "mixture"], "mixture"),
+    "keep_samples": (["--no-samples"], False),
+    "update_posteriors": (["--update-posteriors"], True),
+}
+
+
+def _echoed_config(monkeypatch, argv):
+    """The config a command would echo into its artifacts, without running it."""
+    echoed = []
+    _, help_text, options = COMMANDS[argv[0]]
+
+    def capture(resolved):
+        echoed.append(report.meta(argv[0], resolved, seed=None)["config"])
+        return 0
+
+    monkeypatch.setitem(COMMANDS, argv[0], (capture, help_text, options))
+    assert main(argv) == 0
+    return echoed[0]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_flag_and_config_key_set_the_same_value(command, monkeypatch, tmp_path):
+    _, _, options = COMMANDS[command]
+    names = [*options, "out_dir"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name: OPTION_SAMPLES[name][1] for name in names}))
+    by_flag = _echoed_config(
+        monkeypatch, [command] + [arg for name in names for arg in OPTION_SAMPLES[name][0]]
+    )
+    by_config = _echoed_config(monkeypatch, [command, "--config", str(config)])
+    assert by_flag == by_config
+    for name, option in options.items():
+        assert by_flag[name] != option.default, name
+
+
+# how the help shows the allowed values of each choice option
+CHOICE_METAVARS = {
+    "--delimiter": "{,,tab,;,\\\\t,\\t}",
+    "--cluster-on": "{profile,hellinger}",
+    "--mode": "{average,mixture}",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_every_option(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    _, _, options = COMMANDS[command]
+    for name, option in options.items():
+        flag = option.flag_name(name)
+        assert flag in text
+        if flag in CHOICE_METAVARS:
+            assert f"{flag} {CHOICE_METAVARS[flag]}" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["interval", "--failed", "1", "--inspected", "2", "--bogus", "x"],
+    ["operators", "--input", "export.csv", "--alpha", "0.5"],
+])
+def test_unknown_flag_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
