@@ -70,9 +70,18 @@ def _choice(*allowed: str):
     return check
 
 
+def _integer(value) -> int:
+    """An int, an integral float or a flag's digit string; never a boolean."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got a boolean")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _at_least(low: int):
     def check(value) -> int:
-        value = int(value)
+        value = _integer(value)
         if value < low:
             raise ValueError(f"expected an integer >= {low}")
         return value
@@ -170,7 +179,7 @@ def _fields(record: str):
 
 
 def _count_data(record: dict) -> CountData:
-    return CountData(int(record["failed"]), int(record["inspected"]))
+    return CountData(_integer(record["failed"]), _integer(record["inspected"]))
 
 
 def _out_dir(resolved: dict) -> Path:
@@ -521,7 +530,7 @@ def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
     for number, weld in enumerate(document["welds"], start=1):
         with _fields(f"design weld #{number}"):
             key = str(weld.get("key", f"type-{len(entries) + 1}"))
-            count = int(weld.get("count", 1))
+            count = _integer(weld.get("count", 1))
             if "failed" in weld and "inspected" in weld:
                 counts = _count_data(weld)
             elif key in type_counts:
@@ -593,7 +602,7 @@ def _load_actuals(path: str | None) -> tuple[list[float], list[int]]:
     document = _read_json(path, "actuals", SchemaError)
     with _fields("actuals file"):
         hours = [float(h) for h in document.get("hours", [])]
-        results = [int(r) for r in document.get("results", [])]
+        results = [_integer(r) for r in document.get("results", [])]
     return hours, results
 
 
@@ -658,7 +667,7 @@ _DELIMITER = Option(",", _choice(",", "tab", ";", "\\t", "\t"))
 _WHERE = Option([], _strings, {"action": "append", "metavar": "FIELD=VALUE"})
 _GROUP_BY = Option(list(DEFAULT_GROUP_BY), _strings, {"action": _CommaList})
 _PRIOR = Option([0.5, 0.5], _pair, {"nargs": 2, "metavar": ("A", "B")})
-_SEED = Option(0, int)
+_SEED = Option(0, _integer)
 
 #: command -> (handler, help, options): the one declaration of every option
 COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
@@ -670,8 +679,8 @@ COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
         "min_inspected": Option(0, _at_least(0)),
     }),
     "interval": (cmd_interval, "credible interval for failure counts", {
-        "failed": Option(_REQUIRED, int),
-        "inspected": Option(_REQUIRED, int),
+        "failed": Option(_REQUIRED, _integer),
+        "inspected": Option(_REQUIRED, _integer),
         "alpha": Option(0.05, float),
         "prior": _PRIOR,
         "classical": Option(False, _flag, {
@@ -689,10 +698,10 @@ COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
         "weld_kind": Option(None, str),
         "min_inspected": Option(100, _at_least(0)),
         "prior": _PRIOR,
-        "iterations": Option(10_000, int),
-        "burn_in": Option(200, int),
+        "iterations": Option(10_000, _integer),
+        "burn_in": Option(200, _integer),
         "proposal_sd": Option(0.05, float),
-        "resamples": Option(ab.DEFAULT_RESAMPLES, int),
+        "resamples": Option(ab.DEFAULT_RESAMPLES, _integer),
         "seed": _SEED,
         "group_by": Option(
             list(DEFAULT_GROUP_BY) + ["operator_id"], _operator_grouping, {"action": _CommaList}
@@ -711,7 +720,7 @@ COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
     }),
     "forecast": (cmd_forecast, "Monte Carlo project nonconformance forecast", {
         "design": Option(_REQUIRED, str, {"help": "JSON project design file"}),
-        "iterations": Option(forecast.DEFAULT_ITERATIONS, int),
+        "iterations": Option(forecast.DEFAULT_ITERATIONS, _integer),
         "seed": _SEED,
         "mode": Option("average", _choice("average", "mixture")),
         "prior": _PRIOR,
@@ -720,7 +729,7 @@ COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
     "rework": (cmd_rework, "rework man-hour estimate and control chart", {
         "specs": Option(_REQUIRED, str, {"help": "JSON product specs file"}),
         "actuals": Option(None, str, {"help": "JSON actual hours/results file"}),
-        "iterations": Option(rework.DEFAULT_ITERATIONS, int),
+        "iterations": Option(rework.DEFAULT_ITERATIONS, _integer),
         "seed": _SEED,
         "prior": _PRIOR,
         "update_posteriors": Option(False, _flag, {

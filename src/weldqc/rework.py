@@ -110,25 +110,26 @@ def expected_rework_hours(
             f"got {probs.size} probabilities for {len(specs)} products"
         )
     visits = fundamental_matrix(transition_matrix(probs))[0]
-    hours = _rework_hour_terms(specs) * (visits - 1.0)
+    hours = _columns(specs)[0] * (visits - 1.0)
     return hours, float(hours.sum())
 
 
-def _rework_hour_terms(specs: Sequence[ProductSpec]) -> np.ndarray:
-    return np.array([s.efficiency * s.estimated_hours for s in specs])
+def _columns(specs: Sequence[ProductSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-product rework-hour terms eta_i * t_i and posterior shapes a_i, b_i."""
+    terms = np.array([s.efficiency * s.estimated_hours for s in specs])
+    return terms, np.array([s.posterior.a for s in specs]), np.array([s.posterior.b for s in specs])
 
 
-def _draw_probabilities(
-    specs: Sequence[ProductSpec], iterations: int, rng: np.random.Generator
+def _draw_hours(
+    terms: np.ndarray, a: np.ndarray, b: np.ndarray, iterations: int, rng: np.random.Generator
 ) -> np.ndarray:
-    a = np.array([s.posterior.a for s in specs])
-    b = np.array([s.posterior.b for s in specs])
-    draws = rng.beta(a, b, size=(iterations, len(specs)))
+    """iterations x len(terms) rework hours terms * (1/(1 - p) - 1), p ~ Beta(a, b)."""
+    draws = rng.beta(a, b, size=(iterations, a.size))
     # a draw at 1 would make 1/(1 - p) infinite; measure-zero but guarded
     for _ in range(_REDRAW_LIMIT):
         mask = draws >= _P_CAP
         if not mask.any():
-            return draws
+            return terms * (1.0 / (1.0 - draws) - 1.0)
         rows, cols = np.nonzero(mask)
         draws[rows, cols] = rng.beta(a[cols], b[cols])
     raise DomainError("rework probability draws kept saturating at 1")
@@ -158,10 +159,7 @@ def simulate_total_rework(
         raise DomainError("need at least one product")
     if iterations < 1:
         raise DomainError(f"need at least one iteration, got {iterations}")
-    rng = substream(seed)
-    draws = _draw_probabilities(specs, iterations, rng)
-    terms = _rework_hour_terms(specs)
-    samples = (terms * (1.0 / (1.0 - draws) - 1.0)).sum(axis=1)
+    samples = _draw_hours(*_columns(specs), iterations, substream(seed)).sum(axis=1)
     return ReworkEstimate(samples=samples, seed=seed, iterations=iterations)
 
 
@@ -209,28 +207,6 @@ class ControlChartSeries:
     points: tuple[StatePoint, ...]
 
 
-def _updated_posteriors(
-    specs: Sequence[ProductSpec],
-    actual_results: Sequence[int],
-    completed: int,
-) -> list[BetaParams]:
-    """Fold completed pass/fail outcomes into same-type remaining posteriors."""
-    outcomes: dict[str, list[int]] = {}
-    for i in range(completed):
-        key = specs[i].key if specs[i].key is not None else f"#{i}"
-        outcomes.setdefault(key, []).append(int(actual_results[i]))
-    updated = []
-    for i in range(completed, len(specs)):
-        spec = specs[i]
-        key = spec.key if spec.key is not None else f"#{i}"
-        seen = outcomes.get(key, [])
-        fails = sum(seen)
-        updated.append(
-            BetaParams(spec.posterior.a + fails, spec.posterior.b + len(seen) - fails)
-        )
-    return updated
-
-
 def control_chart(
     specs: Sequence[ProductSpec],
     actual_hours: Sequence[float],
@@ -243,16 +219,19 @@ def control_chart(
     """Execution-phase rework chart.
 
     A point at state k combines the accrued actual rework hours of the k
-    completed products with a fresh Monte Carlo distribution (substream
-    (seed, 1, k)) of the remaining products' rework hours.  Points run from
+    completed products with the Monte Carlo distribution of the remaining
+    products' rework hours.  One iterations x n matrix of rework hours is
+    drawn from substream (seed, 1) and every state sums its own suffix of
+    columns, so states share draws (common random numbers).  Points run from
     state 0 (pure planning forecast) to the number of completed products;
-    once all n products are complete the final point has a zero-width band
-    and equals the total actual rework hours.  Flags compare the state median
-    against the planning-phase control limits.
+    once all n products are complete the suffix is empty, so the final point
+    has a zero-width band and equals the total actual rework hours.  Flags
+    compare the state median against the planning-phase control limits.
 
-    By default remaining products keep their historical posteriors; with
-    `update_posteriors` the completed pass/fail outcomes are folded into the
-    posteriors of remaining products sharing the same type key.
+    By default remaining products keep their historical posteriors and no
+    column is redrawn.  With `update_posteriors`, state k folds product
+    k - 1's pass/fail outcome into the posteriors of the remaining products
+    sharing its type key and redraws only those columns.
     """
     n = len(specs)
     if len(actual_hours) != len(actual_results):
@@ -271,24 +250,21 @@ def control_chart(
             simulate_total_rework(specs, iterations, derive_seed(seed, 0))
         )
 
-    terms = _rework_hour_terms(specs)
+    terms, a, b = _columns(specs)
+    keys = np.array([s.key for s in specs], dtype=object)
+    rng = substream(seed, 1)
+    hours = _draw_hours(terms, a, b, iterations, rng)
     points = []
     for k in range(completed + 1):
+        if update_posteriors and k > 0 and keys[k - 1] is not None:
+            cols = k + np.flatnonzero(keys[k:] == keys[k - 1])
+            failed = int(actual_results[k - 1])
+            a[cols] += failed
+            b[cols] += 1 - failed
+            hours[:, cols] = _draw_hours(terms[cols], a[cols], b[cols], iterations, rng)
         accrued = float(np.sum(actual_hours[:k]))
-        remaining = list(specs[k:])
-        if update_posteriors and k > 0 and remaining:
-            fresh = _updated_posteriors(specs, actual_results, k)
-            remaining = [
-                ProductSpec(post, s.estimated_hours, s.efficiency, s.key)
-                for post, s in zip(fresh, remaining)
-            ]
-        if remaining:
-            rng = substream(seed, 1, k)
-            draws = _draw_probabilities(remaining, iterations, rng)
-            samples = accrued + (terms[k:] * (1.0 / (1.0 - draws) - 1.0)).sum(axis=1)
-            low, median, high = np.quantile(samples, [0.025, 0.5, 0.975])
-        else:
-            low = median = high = accrued
+        samples = accrued + hours[:, k:].sum(axis=1)
+        low, median, high = np.quantile(samples, [0.025, 0.5, 0.975])
         points.append(
             StatePoint(
                 state=k,

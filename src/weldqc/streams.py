@@ -1,10 +1,13 @@
 """Deterministic random-stream derivation.
 
 Every stochastic operation takes one user-facing seed; internal parallelism
-(multiple chains, matrix cells, per-weld draws, per-state simulations) uses
-substreams derived from (seed, index path) so results are reproducible and
-independent of evaluation order.  `derive_seed` is the only way a sub-seed
-is made: it validates the seed first, so a bad seed is a ConfigError.
+(multiple chains, matrix cells, per-weld draws) uses substreams derived from
+(seed, index path) so results are reproducible and independent of evaluation
+order.  The path is the SeedSequence spawn key (numpy's child-stream
+scheme), not part of the entropy, whose trailing zero words SeedSequence
+ignores: so (seed, 1, 0) and (seed, 1) are different streams.  `derive_seed`
+is the only way a sub-seed is made: it validates the seed first, so a bad
+seed is a ConfigError.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ def check_seed(seed: int) -> int:
 
 
 def _sequence(seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
-    return np.random.SeedSequence([check_seed(seed)] + [int(p) for p in path])
+    return np.random.SeedSequence(check_seed(seed), spawn_key=tuple(int(p) for p in path))
 
 
 def derive_seed(seed: int, *path: int) -> int:

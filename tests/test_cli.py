@@ -425,6 +425,26 @@ MALFORMED_INPUTS = {
         {"export.csv": _EXPORT.encode(), "config.json": _json_bytes({"min_inspected": -1})},
         ["summarize", "--input", "export.csv", "--config", "config.json"], 3, "min_inspected",
     ),
+    "config-top-fraction": (
+        {"counts.csv": _COUNTS, "config.json": _json_bytes({"top": 2.9})},
+        ["complexity", "--counts", "counts.csv", "--config", "config.json"], 3, "top",
+    ),
+    "config-clusters-boolean": (
+        {"counts.csv": _COUNTS, "config.json": _json_bytes({"clusters": True})},
+        ["complexity", "--counts", "counts.csv", "--config", "config.json"], 3, "clusters",
+    ),
+    "config-interval-failed-fraction": (
+        {"config.json": _json_bytes({"failed": 2.7, "inspected": True})},
+        ["interval", "--config", "config.json"], 3, "failed",
+    ),
+    "specs-failed-fraction": (
+        {"specs.json": _json_bytes({"products": [{**_PRODUCT, "failed": 1.9, "inspected": 10.5}]})},
+        ["rework", "--specs", "specs.json"], 2, "product #1",
+    ),
+    "actuals-results-fraction": (
+        {"specs.json": _SPECS, "actuals.json": _json_bytes({"hours": [0.0], "results": [0.9]})},
+        ["rework", "--specs", "specs.json", "--actuals", "actuals.json"], 2, "actuals",
+    ),
 }
 
 

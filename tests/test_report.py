@@ -8,7 +8,7 @@ import pytest
 from weldqc import report
 from weldqc.errors import ConfigError
 from weldqc.render import boxplot_svg, control_chart_svg, dendrogram_svg, histogram_svg
-from weldqc.streams import check_seed, substream
+from weldqc.streams import check_seed, derive_seed, substream
 
 
 class TestFormatting:
@@ -125,6 +125,9 @@ class TestStreams:
     def test_substream_paths_differ(self):
         assert substream(7, 1).random() != substream(7, 2).random()
         assert substream(7).random() != substream(8).random()
+        # a trailing zero in the path names a stream of its own
+        assert substream(7, 1).random() != substream(7, 1, 0).random()
+        assert derive_seed(7) != derive_seed(7, 0)
 
     def test_check_seed(self):
         assert check_seed(np.int64(5)) == 5

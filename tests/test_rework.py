@@ -16,6 +16,7 @@ from weldqc.rework import (
     simulate_total_rework,
     transition_matrix,
 )
+from weldqc.streams import substream
 
 from refdata import (
     REWORK_EFFICIENCY,
@@ -255,8 +256,8 @@ class TestControlChart:
         updated = control_chart(
             specs, hours[:6], results[:6], iterations=4000, seed=4, update_posteriors=True
         )
-        # no shared type keys among completed/remaining products: identical
-        assert static.points[-1].median == pytest.approx(updated.points[-1].median)
+        # no shared type keys among completed/remaining products: nothing redrawn
+        assert static == updated
 
         shared = [
             ProductSpec(s.posterior, s.estimated_hours, s.efficiency, key="common")
@@ -268,3 +269,59 @@ class TestControlChart:
         )
         # three observed failures in six completions raise the remaining forecast
         assert updated.points[-1].median > static.points[-1].median
+
+
+def _reference_chart(specs, actual_hours, actual_results, iterations, seed, update_posteriors):
+    """(low, median, high) per state from the per-state loop the chart replaced.
+
+    Every state rebuilds the remaining posteriors from all completed outcomes
+    of the same key and redraws every remaining product from its own stream.
+    """
+    terms = np.array([s.efficiency * s.estimated_hours for s in specs])
+    bands = []
+    for k in range(len(actual_hours) + 1):
+        remaining = specs[k:]
+        a = np.array([s.posterior.a for s in remaining])
+        b = np.array([s.posterior.b for s in remaining])
+        if update_posteriors:
+            for i in range(k):
+                same = np.array([s.key is not None and s.key == specs[i].key for s in remaining])
+                a += same * actual_results[i]
+                b += same * (1 - actual_results[i])
+        draws = substream(seed, 1, k).beta(a, b, size=(iterations, len(remaining)))
+        samples = sum(actual_hours[:k]) + (terms[k:] * (1.0 / (1.0 - draws) - 1.0)).sum(axis=1)
+        bands.append(np.quantile(samples, [0.025, 0.5, 0.975]))
+    return np.array(bands)
+
+
+class TestChartOracle:
+    """The one-matrix chart against the per-state re-simulation it replaced."""
+
+    specs = [
+        ProductSpec(
+            posterior=posterior(CountData(i % 3, 8 + i % 5), JEFFREYS),
+            estimated_hours=1.0 + i % 4,
+            key="abc"[i % 3],
+        )
+        for i in range(24)
+    ]
+    results = [1, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1]
+    hours = [2.5 * r for r in results]
+
+    def bands(self, update_posteriors):
+        series = control_chart(
+            self.specs, self.hours, self.results, iterations=20_000, seed=11,
+            update_posteriors=update_posteriors,
+        )
+        return np.array([[p.band_low, p.median, p.band_high] for p in series.points])
+
+    @pytest.mark.parametrize("update_posteriors", [False, True])
+    def test_matches_per_state_resimulation(self, update_posteriors):
+        reference = _reference_chart(
+            self.specs, self.hours, self.results, 20_000, 12, update_posteriors
+        )
+        np.testing.assert_allclose(self.bands(update_posteriors), reference, rtol=0.03)
+
+    def test_updating_moves_the_chart(self):
+        static, updated = self.bands(False), self.bands(True)
+        assert np.max(np.abs(updated[:, 1] / static[:, 1] - 1.0)) > 0.1
