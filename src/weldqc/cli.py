@@ -30,10 +30,10 @@ from .errors import ConfigError, SchemaError, WeldQCError
 from .ingest import (
     DEFAULT_GROUP_BY,
     KEY_FIELDS,
-    TableSchema,
     clean,
     filter_records,
     filter_summaries,
+    open_table,
     parse_records,
     summarize,
 )
@@ -202,7 +202,7 @@ def _parse_where(pairs: list[str] | None) -> dict[str, str]:
 
 
 def _load_summaries(resolved: dict) -> tuple[list, dict]:
-    parsed = parse_records(resolved["input"], TableSchema(_delimiter(resolved)))
+    parsed = parse_records(resolved["input"], _delimiter(resolved))
     records, rejections = clean(parsed.records)
     where = _parse_where(resolved.get("where"))
     if where:
@@ -388,19 +388,14 @@ def cmd_operators(resolved: dict) -> int:
 
 def _counts_from_file(path: str, delimiter: str) -> list[dict]:
     """Counts table: label, inspected, repaired[, total] with a header row."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle, delimiter=delimiter, restval="")
-            required = {"label", "inspected", "repaired"}
-            if not reader.fieldnames or not required.issubset(set(reader.fieldnames)):
-                raise SchemaError(
-                    "counts file needs columns: label, inspected, repaired[, total]"
-                )
-            records = list(reader)
-    except OSError as exc:
-        raise SchemaError(f"cannot read counts file {path}: {exc.strerror}")
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise SchemaError(f"counts file is not a valid UTF-8 table: {exc}")
+    with open_table(path, "counts file") as handle:
+        reader = csv.DictReader(handle, delimiter=delimiter, restval="")
+        required = {"label", "inspected", "repaired"}
+        if not reader.fieldnames or not required.issubset(set(reader.fieldnames)):
+            raise SchemaError(
+                "counts file needs columns: label, inspected, repaired[, total]"
+            )
+        records = list(reader)
     if not records:
         raise SchemaError("counts file holds no rows")
     rows = []

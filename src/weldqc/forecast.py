@@ -64,8 +64,8 @@ class ForecastResult:
     iterations: int
     mode: str
 
-    def quantiles(self, step: float = QUANTILE_STEP) -> list[tuple[float, float]]:
-        return quantile_table(self, step)
+    def quantiles(self) -> list[tuple[float, float]]:
+        return quantile_table(self)
 
 
 def simulate_project(
@@ -100,8 +100,8 @@ def simulate_project(
     return ForecastResult(samples=samples, seed=seed, iterations=iterations, mode=mode)
 
 
-def quantile_table(result_or_samples, step: float = QUANTILE_STEP) -> list[tuple[float, float]]:
-    """Empirical quantiles on a 0%..100% grid; nondecreasing by construction."""
+def quantile_table(result_or_samples) -> list[tuple[float, float]]:
+    """Empirical quantiles on the 0%..100% grid of QUANTILE_STEP; nondecreasing."""
     samples = (
         result_or_samples.samples
         if isinstance(result_or_samples, ForecastResult)
@@ -109,9 +109,7 @@ def quantile_table(result_or_samples, step: float = QUANTILE_STEP) -> list[tuple
     )
     if samples.size == 0:
         raise DomainError("no samples to summarize")
-    if not (0.0 < step <= 1.0):
-        raise DomainError(f"quantile step must lie in (0, 1], got {step}")
-    levels = np.arange(0.0, 1.0 + step / 2.0, step)
+    levels = np.arange(0.0, 1.0 + QUANTILE_STEP / 2.0, QUANTILE_STEP)
     levels[-1] = min(levels[-1], 1.0)
     values = np.quantile(samples, levels)
     return [(float(q), float(v)) for q, v in zip(levels, values)]

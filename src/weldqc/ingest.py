@@ -1,7 +1,8 @@
 """File-based ingestion of raw weld inspection exports.
 
 The expected input is a delimited text table (comma by default, tab
-selectable) with a header row naming exactly these seven columns:
+selectable) with a header row naming at least these seven columns (any
+others are ignored):
 
     operator_id, weld_kind, schedule, nps, material, project_type,
     inspection_status
@@ -9,17 +10,20 @@ selectable) with a header row naming exactly these seven columns:
 Inspection status coding: 0 = not inspected, 1 = inspected and passed,
 2 = inspected and failed.  Parsing is permissive (bad rows are reported,
 not dropped); `clean` enforces the invariants and reports every rejection.
+Every required column is categorical, so an export repeats a few distinct
+rows many times: each distinct row is parsed once, its repeats share one
+WeldRecord, and `summarize` counts each distinct record once.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import SchemaError
 
@@ -64,11 +68,6 @@ class WeldRecord:
     material: str
     project_type: str
     inspection_status: int | str  # raw token survives until `clean` validates it
-
-
-@dataclass(frozen=True)
-class TableSchema:
-    delimiter: str = ","
 
 
 @dataclass(frozen=True)
@@ -128,37 +127,49 @@ class GroupSummary:
             )
 
 
-def _open_source(source):
-    """A context that closes the handle only when it was opened here."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return nullcontext(source)
-    # binary file object
-    return nullcontext(io.TextIOWrapper(source, encoding="utf-8", newline=""))
+@contextmanager
+def open_table(source, name: str = "input") -> Iterator[TextIO]:
+    """A text handle on `source`, with read and decode failures as SchemaError.
+
+    A path is opened and closed here; a text handle the caller passes in
+    stays open.  `name` says what the table is in the error messages.
+    """
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8", newline="") as handle:
+                yield handle
+        else:
+            yield source
+    except OSError as exc:
+        raise SchemaError(f"cannot read {name} {source}: {exc.strerror}")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{name} is not a valid UTF-8 table: {exc}")
 
 
-def parse_records(source, schema: TableSchema = TableSchema()) -> ParseResult:
+def parse_records(source, delimiter: str = ",") -> ParseResult:
     """Parse a delimited export into WeldRecords, preserving row order.
 
     Structural problems (wrong field count) and non-integer status tokens are
     reported with their 1-based line numbers; the affected rows are kept so
-    that `clean` can account for them explicitly.  A path is opened and
-    closed here; a handle the caller passes in stays open.
+    that `clean` can account for them explicitly.
     """
+    with open_table(source) as handle:
+        return _parse_rows(handle, delimiter)
+
+
+def _parse_row(*cells: str) -> tuple[WeldRecord, str | None]:
+    """One row's record, from its cells in REQUIRED_COLUMNS order, and its problem if any."""
+    operator_id, weld_kind, schedule, nps, material, project_type, status = (c.strip() for c in cells)
+    fields = (operator_id, weld_kind, schedule, normalize_nps(nps), material, project_type)
     try:
-        with _open_source(source) as handle:
-            return _parse_rows(handle, schema)
-    except OSError as exc:
-        raise SchemaError(f"cannot read input {source}: {exc.strerror}")
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise SchemaError(f"input is not a valid UTF-8 table: {exc}")
+        code = int(status)
+    except ValueError:
+        return WeldRecord(*fields, status), f"unparseable inspection_status {status!r}"
+    return WeldRecord(*fields, code), None
 
 
-def _parse_rows(handle: io.TextIOBase, schema: TableSchema) -> ParseResult:
-    reader = csv.reader(handle, delimiter=schema.delimiter)
+def _parse_rows(handle: TextIO, delimiter: str) -> ParseResult:
+    reader = csv.reader(handle, delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:
@@ -167,33 +178,27 @@ def _parse_rows(handle: io.TextIOBase, schema: TableSchema) -> ParseResult:
     missing = [c for c in REQUIRED_COLUMNS if c not in names]
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-    index = {c: names.index(c) for c in REQUIRED_COLUMNS}
+    required_cells = itemgetter(*(names.index(c) for c in REQUIRED_COLUMNS))
 
+    # keyed on the required cells only, so an extra unique column (a weld ID,
+    # a date) does not make every row distinct
+    parsed: dict[tuple[str, ...], tuple[WeldRecord, str | None]] = {}
     records: list[WeldRecord] = []
     issues: list[ParseIssue] = []
     for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         if len(row) < len(names):
             issues.append(ParseIssue(line_no, f"expected {len(names)} fields, got {len(row)}"))
             continue
-        raw_status = row[index["inspection_status"]].strip()
-        try:
-            status: int | str = int(raw_status)
-        except ValueError:
-            status = raw_status
-            issues.append(ParseIssue(line_no, f"unparseable inspection_status {raw_status!r}"))
-        records.append(
-            WeldRecord(
-                operator_id=row[index["operator_id"]].strip(),
-                weld_kind=row[index["weld_kind"]].strip(),
-                schedule=row[index["schedule"]].strip(),
-                nps=normalize_nps(row[index["nps"]]),
-                material=row[index["material"]].strip(),
-                project_type=row[index["project_type"]].strip(),
-                inspection_status=status,
-            )
-        )
+        cells = required_cells(row)
+        outcome = parsed.get(cells)
+        if outcome is None:
+            outcome = parsed[cells] = _parse_row(*cells)
+        record, problem = outcome
+        if problem is not None:
+            issues.append(ParseIssue(line_no, problem))
+        records.append(record)
     return ParseResult(records=records, issues=issues)
 
 
@@ -239,20 +244,21 @@ def summarize(
 
     total = all rows in the group, inspected = rows with status 1 or 2,
     repaired = rows with status 2.  Output is sorted by key, so equal inputs
-    in any order produce identical summaries.
+    in any order produce identical summaries.  Equal records are counted
+    together, so the work grows with the number of distinct records.
     """
     bad = set(group_by) - set(KEY_FIELDS)
     if bad:
         raise SchemaError(f"cannot group by non-key field(s): {', '.join(sorted(bad))}")
     groups: dict[GroupKey, list[int]] = {}
-    for record in records:
+    for record, count in Counter(records).items():
         key = GroupKey(**{f: getattr(record, f) for f in group_by})
         counts = groups.setdefault(key, [0, 0, 0])
-        counts[0] += 1
+        counts[0] += count
         if record.inspection_status in (1, 2):
-            counts[1] += 1
+            counts[1] += count
         if record.inspection_status == 2:
-            counts[2] += 1
+            counts[2] += count
     return [
         GroupSummary(key, total, inspected, repaired)
         for key, (total, inspected, repaired) in sorted(

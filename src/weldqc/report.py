@@ -85,12 +85,11 @@ def write_table(
     header: Sequence[str],
     rows: Sequence[Sequence],
     info: Mapping,
-    delimiter: str = ",",
 ) -> None:
     lines = _meta_comment_lines(info)
-    lines.append(delimiter.join(header))
+    lines.append(",".join(header))
     for row in rows:
-        lines.append(delimiter.join(fmt(cell) for cell in row))
+        lines.append(",".join(fmt(cell) for cell in row))
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -145,8 +145,8 @@ class ReworkEstimate:
     def mean(self) -> float:
         return float(self.samples.mean())
 
-    def quantiles(self, step: float = 0.10) -> list[tuple[float, float]]:
-        return quantile_table(self.samples, step)
+    def quantiles(self) -> list[tuple[float, float]]:
+        return quantile_table(self.samples)
 
 
 def simulate_total_rework(

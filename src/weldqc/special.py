@@ -57,7 +57,8 @@ def _betacf(x: float, a: float, b: float) -> float:
         d = _CF_TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _CF_MAX_ITER + 1):
+    # the number of terms needed grows like sqrt(max(a, b)) (Numerical Recipes 6.4)
+    for m in range(1, _CF_MAX_ITER + math.isqrt(int(qab)) + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d

@@ -177,6 +177,16 @@ class TestComplexity:
     def test_requires_some_input(self, tmp_path):
         assert main(["complexity", "--out-dir", str(tmp_path)]) == 3
 
+    def test_large_counts_row(self, tmp_path):
+        # Beta(1e6 + 1/2, 1e7 + 1/2) posterior quantiles need a long continued fraction
+        path = tmp_path / "counts.csv"
+        path.write_text("label,inspected,repaired\nbig,11000000,1000000\nsmall,10,1\n")
+        out = tmp_path / "big"
+        assert main(["complexity", "--counts", str(path), "--out-dir", str(out)]) == 0
+        _, body = read_meta_and_rows(out / "complexity_scores.csv")
+        medians = {row.split(",")[0]: float(row.split(",")[3]) for row in body[1:]}
+        assert medians["big"] == pytest.approx(1 / 11, abs=1e-6)
+
 
 class TestForecast:
     @pytest.fixture()
@@ -351,6 +361,11 @@ MALFORMED_INPUTS = {
     "export-not-utf8": (
         {"export.csv": (_EXPORT + "\n11,BW,STD,2,Mat\xe9rial A,0,1\n").encode("latin-1")},
         ["summarize", "--input", "export.csv"], 2, "UTF-8",
+    ),
+    "counts-missing": ({}, ["complexity", "--counts", "counts.csv"], 2, "cannot read counts file"),
+    "counts-not-utf8": (
+        {"counts.csv": _COUNTS + "c,30,3\nMat\xe9rial,40,4\n".encode("latin-1")},
+        ["complexity", "--counts", "counts.csv"], 2, "counts file is not a valid UTF-8 table",
     ),
     "config-iterations-text": (
         {"design.json": _DESIGN, "config.json": _json_bytes({"iterations": "abc"})},

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weldqc import ingest
 from weldqc.errors import SchemaError
 from weldqc.ingest import (
     GroupKey,
     GroupSummary,
-    TableSchema,
     clean,
     filter_records,
     filter_summaries,
@@ -67,12 +67,65 @@ class TestParse:
 
     def test_tab_delimiter(self):
         text = HEADER.replace(",", "\t") + "\n" + "7\tBW\tSTD\t2\tMaterial A\t0\t1\n"
-        result = parse_records(io.StringIO(text), TableSchema(delimiter="\t"))
+        result = parse_records(io.StringIO(text), delimiter="\t")
         assert len(result.records) == 1
 
     def test_nps_normalized(self):
         result = parse_records(table("7,BW,STD,4.00,Material A,0,1"))
         assert result.records[0].nps == "4"
+
+
+class TestDistinctRows:
+    """Each distinct row is parsed once; its repeats share one record."""
+
+    ROWS = ("7,BW,STD,2,Material A,0,1", "7,BW,STD,2,Material A,0,2", "8,SW,XS,4.0,Material B,0,0")
+
+    def test_repeated_malformed_row_reported_on_each_line(self):
+        good, bad = "7,BW,STD,2,Material A,0,1", "7,BW,STD,2,Material A,0,oops"
+        result = parse_records(table(good, bad, good, bad, good, good, good, bad))
+        assert [issue.line for issue in result.issues] == [3, 5, 9]
+        assert {issue.message for issue in result.issues} == {"unparseable inspection_status 'oops'"}
+        assert len(result.records) == 8
+
+    def test_repeats_share_one_record(self, monkeypatch):
+        calls = []
+        parse_row = ingest._parse_row
+        monkeypatch.setattr(ingest, "_parse_row", lambda *cells: calls.append(cells) or parse_row(*cells))
+        rows = [self.ROWS[i % 3] for i in range(3000)]
+        records = parse_records(table(*rows)).records
+        assert len(records) == 3000
+        assert len({id(r) for r in records}) == 3
+        assert len(calls) == 3
+        per_row = [
+            record(operator_id=op, weld_kind=kind, schedule=sch, nps=normalize_nps(nps),
+                   material=mat, project_type=pt, status=int(status))
+            for op, kind, sch, nps, mat, pt, status in (row.split(",") for row in rows)
+        ]
+        assert records == per_row
+        operator_key = ("nps", "schedule", "material", "weld_kind", "operator_id")
+        for group_by in (("nps",), operator_key):
+            assert summarize(records, group_by) == summarize(per_row, group_by)
+        (first, second) = summarize(records)
+        assert (first.total_welds, first.inspected_welds, first.repaired_welds) == (2000, 2000, 1000)
+        assert (second.total_welds, second.inspected_welds, second.repaired_welds) == (1000, 0, 0)
+
+    def test_extra_unique_column_ignored(self):
+        rows = [*self.ROWS, "9,BW,STD,2,Material A,0,bad", ",BW,STD,2,Material A,0,1"] * 20
+        plain = parse_records(table(*rows))
+        text = f"weld_id,{HEADER}\n" + "".join(f"W{i},{row}\n" for i, row in enumerate(rows))
+        with_ids = parse_records(io.StringIO(text))
+        assert with_ids.records == plain.records
+        assert with_ids.issues == plain.issues
+        assert len({id(r) for r in with_ids.records}) == 5
+        assert summarize(clean(with_ids.records)[0]) == summarize(clean(plain.records)[0])
+
+    def test_blank_rows(self):
+        text = HEADER + ",comment\n" + " , ,\t, , , , , \n" + ",,,,,,,note\n"
+        result = parse_records(io.StringIO(text))
+        assert len(result.records) == 1
+        assert [issue.line for issue in result.issues] == [3]
+        kept, report = clean(result.records)
+        assert kept == [] and report.as_dict() == {"blank_field": 1}
 
 
 @pytest.mark.parametrize(

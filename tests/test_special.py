@@ -78,6 +78,14 @@ class TestBetaQuantile:
                     assert abs(special.beta_cdf(x, a, b) - q) <= 1e-8
                     assert abs(special.beta_quantile(special.beta_cdf(x, a, b), a, b) - x) <= 1e-8
 
+    @pytest.mark.parametrize("a,b", [(1e7 + 0.5, 1e6 + 0.5), (5e7, 1e9), (1e9, 1e9)])
+    def test_large_shapes_match_scipy(self, a, b):
+        # the continued fraction needs about sqrt(max(a, b)) terms at these shapes
+        stats = pytest.importorskip("scipy.stats")
+        for q in (0.025, 0.5, 0.975):
+            expected = stats.beta.ppf(q, a, b)
+            assert special.beta_quantile(q, a, b) == pytest.approx(expected, rel=1e-9)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             special.beta_quantile(1.5, 2.0, 2.0)
