@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__, ab, complexity, forecast, mcmc, render, report, rework
 from .bayes import BetaParams, CountData, credible_interval, posterior
 from .bayes import agresti_coull_interval, wald_interval, wilson_interval
-from .errors import ConfigError, SchemaError, WeldQCError
+from .errors import ConfigError, DomainError, SchemaError, WeldQCError
 from .ingest import (
     DEFAULT_GROUP_BY,
     KEY_FIELDS,
@@ -178,8 +178,12 @@ def _fields(record: str):
         raise SchemaError(f"{record} has a missing or malformed field: {exc}")
 
 
-def _count_data(record: dict) -> CountData:
-    return CountData(_integer(record["failed"]), _integer(record["inspected"]))
+def _count_data(failed, inspected) -> CountData:
+    """CountData from data-file values; `_fields` names the record if they conflict."""
+    try:
+        return CountData(_integer(failed), _integer(inspected))
+    except DomainError as exc:
+        raise ValueError(exc) from None
 
 
 def _out_dir(resolved: dict) -> Path:
@@ -401,11 +405,12 @@ def _counts_from_file(path: str, delimiter: str) -> list[dict]:
     rows = []
     for number, record in enumerate(records, start=1):
         with _fields(f"counts row {number}"):
+            counts = _count_data(record["repaired"], record["inspected"])
             rows.append(
                 {
                     "label": record["label"].strip(),
-                    "inspected": int(record["inspected"]),
-                    "repaired": int(record["repaired"]),
+                    "inspected": counts.inspected,
+                    "repaired": counts.failed,
                     "total": int(record["total"]) if record.get("total") else None,
                 }
             )
@@ -519,7 +524,7 @@ def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
     with _fields("design 'types'"):
         for key, spec in (document.get("types") or {}).items():
             with _fields(f"design type {key!r}"):
-                type_counts[key] = _count_data(spec)
+                type_counts[key] = _count_data(spec["failed"], spec["inspected"])
     entries = []
     posteriors = {}
     for number, weld in enumerate(document["welds"], start=1):
@@ -527,7 +532,7 @@ def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
             key = str(weld.get("key", f"type-{len(entries) + 1}"))
             count = _integer(weld.get("count", 1))
             if "failed" in weld and "inspected" in weld:
-                counts = _count_data(weld)
+                counts = _count_data(weld["failed"], weld["inspected"])
             elif key in type_counts:
                 counts = type_counts[key]
             else:
@@ -580,9 +585,10 @@ def _load_specs(path: str, prior: BetaParams) -> list[rework.ProductSpec]:
     for number, product in enumerate(products, start=1):
         with _fields(f"product #{number}"):
             key = product.get("key")
+            counts = _count_data(product["failed"], product["inspected"])
             specs.append(
                 rework.ProductSpec(
-                    posterior=posterior(_count_data(product), prior),
+                    posterior=posterior(counts, prior),
                     estimated_hours=float(product["estimated_hours"]),
                     efficiency=float(product.get("efficiency", rework.DEFAULT_EFFICIENCY)),
                     key=None if key is None else str(key),

@@ -6,6 +6,10 @@ distance, which has a closed form for two Beta distributions:
 
     H(P, Q)^2 = 1 - B((a1+a2)/2, (b1+b2)/2) / sqrt(B(a1, b1) * B(a2, b2))
 
+H is evaluated as sqrt(-expm1(log BC)) for that ratio BC, where log BC =
+g(a1, a2) + g(b1, b2) - g(a1 + b1, a2 + b2) and g = `special.log_gamma_gap`
+uses the Stirling form of lgamma (DLMF 5.11.1): no large values are subtracted.
+
 Products are ordered by posterior median, scored by accumulating the
 Hellinger distance between consecutive distributions (seed score 0), scaled
 to [0, 10], and grouped by agglomerative clustering under complete linkage.
@@ -19,7 +23,6 @@ dendrogram was built from and is the default in the reporting pipeline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -30,21 +33,23 @@ from .bayes import BetaParams
 from .errors import DomainError
 
 SCALE_MAX = 10.0
+_CHUNK_PAIRS = 8192  # pairs per kernel call: temporaries stay small next to an n x n matrix
+
+
+def _hellinger_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hellinger distances between the Beta shapes (a, b) in the rows of two k x 2 arrays."""
+    (a1, b1), (a2, b2) = p.T, q.T
+    da, db = 0.5 * (a1 - a2), 0.5 * (b1 - b2)
+    gap = special.log_gamma_gap
+    log_bc = gap(a1, a2, da) + gap(b1, b2, db) - gap(a1 + b1, a2 + b2, da + db)
+    # log_bc can round a hair above 0.  -expm1(0.0) is -0.0, and whether np.maximum
+    # keeps it depends on the platform; 0.0 - expm1(0.0) is +0.0
+    return np.sqrt(np.maximum(0.0 - np.expm1(log_bc), 0.0))
 
 
 def hellinger(p: BetaParams, q: BetaParams) -> float:
     """Closed-form Hellinger distance between two Beta distributions."""
-    return _hellinger(p, q, special.log_beta(p.a, p.b), special.log_beta(q.a, q.b))
-
-
-def _hellinger(p: BetaParams, q: BetaParams, log_p: float, log_q: float) -> float:
-    # log_p, log_q are log B of p and q, passed in so a matrix computes each once
-    log_ratio = special.log_beta((p.a + q.a) / 2.0, (p.b + q.b) / 2.0) - 0.5 * (
-        log_p + log_q
-    )
-    # exact rounding can push 1 - r a hair below 0 for near-identical shapes
-    inner = min(max(1.0 - math.exp(log_ratio), 0.0), 1.0)
-    return math.sqrt(inner)
+    return float(_hellinger_pairs(np.array([(p.a, p.b)]), np.array([(q.a, q.b)]))[0])
 
 
 @dataclass(frozen=True)
@@ -79,13 +84,13 @@ def distance_matrix(
     if not posteriors:
         raise DomainError("need at least one posterior")
     n = len(posteriors)
-    log_b = [special.log_beta(p.a, p.b) for p in posteriors]
+    shapes = np.array([(p.a, p.b) for p in posteriors])
     values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = _hellinger(
-                posteriors[i], posteriors[j], log_b[i], log_b[j]
-            )
+    rows = max(1, _CHUNK_PAIRS // n)
+    for start in range(0, n, rows):
+        i, j = np.nonzero(np.arange(start, start + rows)[:, None] < np.arange(n))
+        i += start
+        values[i, j] = values[j, i] = _hellinger_pairs(shapes[i], shapes[j])
     return HellingerMatrix(_default_labels(n, labels), values)
 
 
@@ -111,11 +116,11 @@ def complexity_order(posteriors: Sequence[BetaParams]) -> list[int]:
     Exact median ties are broken by smaller variance (a tighter distribution
     is the less complex product); remaining ties keep input order.
     """
-    medians = [p.median for p in posteriors]
-    return sorted(
-        range(len(posteriors)),
-        key=lambda i: (medians[i], posteriors[i].variance, i),
-    )
+    return _median_order(posteriors, [p.median for p in posteriors])
+
+
+def _median_order(posteriors: Sequence[BetaParams], medians: list[float]) -> list[int]:
+    return sorted(range(len(posteriors)), key=lambda i: (medians[i], posteriors[i].variance, i))
 
 
 @dataclass(frozen=True)
@@ -139,22 +144,16 @@ def complexity_scores(
     if not posteriors:
         raise DomainError("need at least one posterior")
     names = _default_labels(len(posteriors), labels)
-    order = complexity_order(posteriors)
-    raw = [0.0] * len(posteriors)
-    for rank in range(1, len(order)):
-        current, previous = order[rank], order[rank - 1]
-        raw[current] = raw[previous] + hellinger(posteriors[current], posteriors[previous])
-    top = max(raw)
+    medians = [p.median for p in posteriors]
+    order = _median_order(posteriors, medians)
+    shapes = np.array([(posteriors[i].a, posteriors[i].b) for i in order])
+    raw = np.empty(len(order))
+    raw[order] = np.cumsum(np.concatenate(([0.0], _hellinger_pairs(shapes[1:], shapes[:-1]))))
+    top = float(raw.max())
     scale = SCALE_MAX / top if top > 0 else 0.0
     return [
-        ComplexityScore(
-            label=names[i],
-            index=i,
-            raw=raw[i],
-            scaled=raw[i] * scale,
-            median=posteriors[i].median,
-        )
-        for i in range(len(posteriors))
+        ComplexityScore(label=names[i], index=i, raw=r, scaled=r * scale, median=medians[i])
+        for i, r in enumerate(raw.tolist())
     ]
 
 

@@ -1,15 +1,23 @@
-"""Scalar special functions for Beta-distribution arithmetic.
+"""Special functions for Beta-distribution arithmetic.
 
 Everything is done in log space so that shape parameters in the thousands
 (large inspection samples) stay well inside double precision.  The quantile
 inversion is a bracketed Newton iteration with the density as derivative and
 bisection as fallback, converging to |cdf(x) - q| <= 1e-10.
+
+The Beta functions are scalar; `log_gamma_gap` works on numpy arrays.  Both
+it and the tiny-shape branch of `log_beta` write log Gamma in Stirling form,
+lgamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2 + omega(z) (DLMF 5.11.1), so that
+the large linear terms cancel exactly instead of being subtracted in floating
+point.
 """
 
 from __future__ import annotations
 
 import math
 from statistics import NormalDist
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -22,6 +30,14 @@ _QUANTILE_MAX_ITER = 200
 
 _NORMAL = NormalDist()
 
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of omega (DLMF 5.11.1);
+# at z >= 10 the first omitted term is below 2e-18
+_STIRLING = (
+    1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+    1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0,
+)
+_STIRLING_MIN = 10.0
+
 
 def log_gamma(z: float) -> float:
     """Natural log of the gamma function for z > 0."""
@@ -30,9 +46,71 @@ def log_gamma(z: float) -> float:
     return math.lgamma(z)
 
 
+def _stirling_remainder(z):
+    """omega(z) = lgamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2, for z >= 10.
+
+    Plain arithmetic, so z may be a float or a numpy array.
+    """
+    w = 1.0 / (z * z)
+    c1, c2, c3, c4, c5, c6, c7, c8 = _STIRLING
+    return (c1 + w * (c2 + w * (c3 + w * (c4 + w * (c5 + w * (c6 + w * (c7 + w * c8))))))) / z
+
+
 def log_beta(a: float, b: float) -> float:
     """log B(a, b) = log_gamma(a) + log_gamma(b) - log_gamma(a + b)."""
+    small, large = min(a, b), max(a, b)
+    if small < _STIRLING_MIN <= large < math.inf:
+        # lgamma(large) - lgamma(large + small) in Stirling form: the two
+        # lgamma values can be near 2e10 while their difference is small
+        return (
+            log_gamma(small)
+            - (large - 0.5) * math.log1p(small / large)
+            - small * math.log(large + small)
+            + small
+            + _stirling_remainder(large)
+            - _stirling_remainder(large + small)
+        )
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+
+
+def log_gamma_gap(x: np.ndarray, y: np.ndarray, half_diff: np.ndarray) -> np.ndarray:
+    """lgamma((x + y)/2) - (lgamma(x) + lgamma(y))/2 elementwise; <= 0 by convexity.
+
+    `half_diff` is (x - y)/2, which the caller forms from the differences of
+    the shapes that x and y are built from: derived from rounded x and y it
+    could lose every digit.  With m = (x + y)/2, d = |half_diff| and t = d/m,
+    the Stirling form reduces the gap to
+
+        -[(m - 1/2) log(xy/m^2) + d log(hi/lo)]/2 + omega(m) - (omega(x) + omega(y))/2
+
+    where log(xy/m^2) = log1p(-t^2) and log(hi/lo) = 2 atanh(t), so nothing
+    large is subtracted.  From t = 1/2 on, both come from ratios of the ends
+    instead: near t = 1, log1p and atanh of t lose digits.  Arguments below
+    10 are first shifted up by lgamma(z) = lgamma(z + 1) - ln z, which adds
+    log(xy/m^2)/2 per step.  Identical arguments give exactly 0.
+    """
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    mid = 0.5 * (x + y)
+    d = np.abs(half_diff)
+    gap = np.zeros(mid.shape)
+    while (small := lo < _STIRLING_MIN).any():
+        gap[small] += 0.5 * _log_ends(lo[small], hi[small], mid[small], d[small] / mid[small])
+        lo[small] += 1.0
+        hi[small] += 1.0
+        mid[small] += 1.0
+    t = d / mid
+    near = np.minimum(t, 0.5)  # keeps the unused branch of np.where finite
+    spread = np.where(t < 0.5, 2.0 * np.arctanh(near), np.log(hi / lo))
+    gap -= 0.5 * ((mid - 0.5) * _log_ends(lo, hi, mid, t) + d * spread)
+    return gap + (
+        _stirling_remainder(mid) - 0.5 * (_stirling_remainder(lo) + _stirling_remainder(hi))
+    )
+
+
+def _log_ends(lo, hi, mid, t):
+    """log(lo * hi / mid^2) = log1p(-t^2), for lo + hi = 2 mid and t = (hi - lo)/(2 mid)."""
+    near = np.minimum(t, 0.5)
+    return np.where(t < 0.5, np.log1p(-near * near), np.log(lo / mid * (hi / mid)))
 
 
 def beta_log_pdf(x: float, a: float, b: float) -> float:

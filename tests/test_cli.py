@@ -188,6 +188,15 @@ class TestComplexity:
         assert medians["big"] == pytest.approx(1 / 11, abs=1e-6)
 
 
+    def test_duplicate_rows_write_unsigned_zeros(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("label,inspected,repaired\na,200,5\nb,200,5\nc,5000,40\nd,5000,40\n")
+        out = tmp_path / "dup"
+        assert main(["complexity", "--counts", str(path), "--out-dir", str(out)]) == 0
+        _, body = read_meta_and_rows(out / "hellinger_matrix.csv")
+        cells = [cell for row in body[1:] for cell in row.split(",")[1:]]
+        assert cells.count("0.000000") == 8 and "-0.000000" not in cells
+
 class TestForecast:
     @pytest.fixture()
     def design_json(self, tmp_path):
@@ -361,6 +370,20 @@ MALFORMED_INPUTS = {
     "export-not-utf8": (
         {"export.csv": (_EXPORT + "\n11,BW,STD,2,Mat\xe9rial A,0,1\n").encode("latin-1")},
         ["summarize", "--input", "export.csv"], 2, "UTF-8",
+    ),
+    "counts-repaired-above-inspected": (
+        {"counts.csv": b"label,inspected,repaired\na,10,1\nb,10,11\n"},
+        ["complexity", "--counts", "counts.csv"], 2, "counts row 2",
+    ),
+    "design-type-failed-above-inspected": (
+        {"design.json": _json_bytes({
+            "types": {"t1": {"failed": 5, "inspected": 3}}, "welds": [{"key": "t1"}],
+        })},
+        ["forecast", "--design", "design.json"], 2, "design type 't1'",
+    ),
+    "specs-failed-above-inspected": (
+        {"specs.json": _json_bytes({"products": [_PRODUCT, {**_PRODUCT, "failed": 5, "inspected": 3}]})},
+        ["rework", "--specs", "specs.json"], 2, "product #2",
     ),
     "counts-missing": ({}, ["complexity", "--counts", "counts.csv"], 2, "cannot read counts file"),
     "counts-not-utf8": (

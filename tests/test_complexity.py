@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -87,6 +88,129 @@ class TestHellinger:
         assert 0.9 < far < 1.0
         # essentially disjoint shapes saturate at 1.0 in double precision
         assert hellinger(BetaParams(0.5, 5000.0), BetaParams(5000.0, 0.5)) <= 1.0
+
+
+def mp_hellinger(p, q):
+    """50-digit Hellinger distance between Beta distributions (mpmath oracle)."""
+    with mpmath.workdps(50):
+        a1, b1, a2, b2 = (mpmath.mpf(v) for v in (p.a, p.b, q.a, q.b))
+
+        def log_b(a, b):
+            return mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+
+        log_bc = log_b((a1 + a2) / 2, (b1 + b2) / 2) - (log_b(a1, b1) + log_b(a2, b2)) / 2
+        return float(mpmath.sqrt(-mpmath.expm1(log_bc)))
+
+
+def wide_params(rng):
+    """Shapes log-uniform on [0.5, 1e9]."""
+    a, b = np.exp(rng.uniform(math.log(0.5), math.log(1e9), 2))
+    return BetaParams(float(a), float(b))
+
+
+def near_params(rng, p):
+    """p moved by a relative 1e-9..1e-2 or by a few whole counts."""
+    if rng.random() < 0.5:
+        a, b = np.array([p.a, p.b]) * (1.0 + rng.normal(size=2) * 10.0 ** rng.uniform(-9, -2, 2))
+    else:
+        a, b = np.array([p.a, p.b]) + rng.integers(-3, 4, size=2)
+    return BetaParams(float(max(a, 0.5)), float(max(b, 0.5)))
+
+
+class TestHellingerKernel:
+    def test_matches_mpmath_over_shape_range(self):
+        rng = np.random.default_rng(11)
+        for k in range(300):
+            p = wide_params(rng)
+            q = wide_params(rng) if k % 2 else near_params(rng, p)
+            expected = mp_hellinger(p, q)
+            got = hellinger(p, q)
+            assert abs(got - expected) <= 1e-5 * expected + 2e-9, (p, q, got, expected)
+            if expected >= 1e-7:
+                assert got > 0.0, (p, q, expected)
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            (BetaParams(5e7, 1e9), BetaParams(5e7 + 10, 1e9)),
+            (BetaParams(1e6, 1e6), BetaParams(1e6 + 1, 1e6)),
+            (BetaParams(1e9, 1e9), BetaParams(1e9 + 1, 1e9)),
+            (BetaParams(0.5, 1e9 + 0.5), BetaParams(1.5, 1e9 - 0.5)),
+            (BetaParams(0.5, 1e9), BetaParams(1e9, 0.5)),
+        ],
+    )
+    def test_large_shapes_match_mpmath(self, p, q):
+        # subtracting lgamma values near 2e10 returned 0 or lost digits here
+        expected = mp_hellinger(p, q)
+        assert hellinger(p, q) == pytest.approx(expected, rel=1e-9, abs=0)
+
+    def test_shape_sums_that_round(self):
+        # a1 + b1 is rounded at these shapes; the sums' half-difference must
+        # come from (a1 - a2)/2 + (b1 - b2)/2 to keep H to 1e-9
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            a, b = np.exp(rng.uniform(math.log(1e3), math.log(1e9), 2))
+            da, db = rng.integers(-3, 4, size=2) / 3.0
+            p, q = BetaParams(float(a), float(b)), BetaParams(float(a + da), float(b + db))
+            expected = mp_hellinger(p, q)
+            if expected >= 1e-7:
+                assert hellinger(p, q) == pytest.approx(expected, rel=1e-9, abs=0), (p, q)
+
+    def test_integer_counts_relative_error(self):
+        rng = np.random.default_rng(12)
+        checked = 0
+        for _ in range(400):
+            n1 = int(rng.integers(1, 100_001))
+            x1 = int(rng.integers(0, n1 + 1))
+            # half the second products sit a few counts from the first
+            if rng.random() < 0.5:
+                n2 = max(n1 + int(rng.integers(-50, 51)), 1)
+                x2 = min(max(x1 + int(rng.integers(-5, 6)), 0), n2)
+            else:
+                n2 = int(rng.integers(1, 100_001))
+                x2 = int(rng.integers(0, n2 + 1))
+            p = posterior(CountData(x1, n1), JEFFREYS)
+            q = posterior(CountData(x2, n2), JEFFREYS)
+            expected = mp_hellinger(p, q)
+            if expected < 1e-3:
+                continue
+            checked += 1
+            assert hellinger(p, q) == pytest.approx(expected, rel=1e-10, abs=0), (p, q)
+        assert checked > 200
+
+    @pytest.mark.parametrize("shape", [(0.5, 0.5), (2.5, 98.5), (12.0, 3.0), (5e7, 1e9)])
+    def test_identical_shapes_give_positive_zero(self, shape):
+        p = BetaParams(*shape)
+        assert math.copysign(1.0, hellinger(p, p)) == 1.0
+        values = distance_matrix([p, p, BetaParams(1.0, 1.0)]).values
+        assert math.copysign(1.0, values[0, 1]) == math.copysign(1.0, values[1, 0]) == 1.0
+
+    def test_scores_are_cumulative_matrix_entries(self):
+        rng = np.random.default_rng(13)
+        posteriors = [wide_params(rng) for _ in range(30)]
+        posteriors += [near_params(rng, p) for p in posteriors[:10]]
+        values = distance_matrix(posteriors).values
+        order = complexity_order(posteriors)
+        expected = {order[0]: 0.0}
+        total = 0.0
+        for previous, current in zip(order, order[1:]):
+            total += values[current, previous]
+            expected[current] = total
+        for score in complexity_scores(posteriors):
+            assert score.raw == expected[score.index]
+
+    def test_distance_matrix_memory_is_quadratic(self):
+        n = 1000
+        rng = np.random.default_rng(14)
+        posteriors = [random_params(rng) for _ in range(n)]
+        tracemalloc.start()
+        try:
+            distance_matrix(posteriors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the n x n result is n**2 * 8 bytes; the pair temporaries stay bounded
+        assert peak < 3 * n * n * 8
 
 
 class TestDistanceMatrix:

@@ -39,6 +39,45 @@ def test_log_beta_identity():
         )
 
 
+class TestStirlingForms:
+    def test_log_beta_with_one_tiny_shape_matches_mpmath(self):
+        rng = np.random.default_rng(3)
+        with mpmath.workdps(50):
+            for _ in range(200):
+                small = float(rng.uniform(0.01, 10.0))
+                large = float(np.exp(rng.uniform(math.log(10.0), math.log(1e12))))
+                s, l = mpmath.mpf(small), mpmath.mpf(large)
+                expected = float(mpmath.loggamma(s) + mpmath.loggamma(l) - mpmath.loggamma(s + l))
+                assert special.log_beta(small, large) == pytest.approx(expected, rel=4e-15, abs=4e-15)
+                assert special.log_beta(large, small) == special.log_beta(small, large)
+
+    def test_log_gamma_gap_matches_mpmath(self):
+        rng = np.random.default_rng(4)
+        xs, ys = [], []
+        for k in range(400):
+            x = float(np.exp(rng.uniform(math.log(0.5), math.log(1e9))))
+            if k % 2:
+                y = float(np.exp(rng.uniform(math.log(0.5), math.log(1e9))))
+            else:  # near-identical pairs, down to a relative 1e-8 apart
+                y = x * (1.0 + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-8, -0.5))
+            xs.append(x)
+            ys.append(y)
+        x, y = np.array(xs), np.array(ys)
+        got = special.log_gamma_gap(x, y, 0.5 * (x - y))
+        with mpmath.workdps(50):
+            for xi, yi, gi in zip(xs, ys, got):
+                X, Y = mpmath.mpf(xi), mpmath.mpf(yi)
+                expected = float(
+                    mpmath.loggamma((X + Y) / 2) - (mpmath.loggamma(X) + mpmath.loggamma(Y)) / 2
+                )
+                assert abs(gi - expected) <= 1e-13 * abs(expected) + 1e-17, (xi, yi)
+
+    def test_log_gamma_gap_of_identical_arguments_is_zero(self):
+        x = np.array([0.5, 3.0, 9.75, 10.0, 2.5e3, 1e9])
+        gap = special.log_gamma_gap(x, x.copy(), np.zeros_like(x))
+        assert np.all(gap == 0.0) and np.all(np.copysign(1.0, gap) == 1.0)
+
+
 class TestIncompleteBeta:
     def test_against_scipy(self):
         rng = np.random.default_rng(2)
@@ -85,6 +124,14 @@ class TestBetaQuantile:
         for q in (0.025, 0.5, 0.975):
             expected = stats.beta.ppf(q, a, b)
             assert special.beta_quantile(q, a, b) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("a,b", [(0.5, 1e9 + 0.5), (1.5, 1e9), (3.5, 2e8 + 0.5)])
+    def test_one_tiny_shape_matches_scipy(self, a, b):
+        # the cdf's front factor log B(a, b) once subtracted lgamma values near 2e10
+        stats = pytest.importorskip("scipy.stats")
+        for q in np.linspace(0.01, 0.99, 99):
+            expected = stats.beta.ppf(q, a, b)
+            assert special.beta_quantile(float(q), a, b) == pytest.approx(expected, rel=1e-7, abs=0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
