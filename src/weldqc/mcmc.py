@@ -24,6 +24,12 @@ from .errors import DomainError
 from .streams import check_seed, derive_seed, substream
 
 
+def _check_integer(name: str, value) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     iterations: int = 10_000
@@ -33,6 +39,8 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integer("iterations", self.iterations)
+        _check_integer("burn_in", self.burn_in)
         if self.burn_in < 0 or self.iterations <= self.burn_in:
             raise DomainError(
                 f"need iterations > burn_in >= 0, got {self.iterations}, {self.burn_in}"
@@ -86,30 +94,34 @@ def sample_posterior(
     config: ChainConfig = ChainConfig(),
 ) -> Chain:
     """Run one chain; bit-identical output for identical inputs and seed."""
-    c1 = counts.failed + prior.a - 1.0
-    c2 = counts.inspected - counts.failed + prior.b - 1.0
+    c1 = float(counts.failed + prior.a - 1.0)
+    c2 = float(counts.inspected - counts.failed + prior.b - 1.0)
     rng = substream(config.seed)
-    steps = rng.normal(0.0, config.proposal_sd, config.iterations)
-    log_u = np.log(rng.random(config.iterations))
+    # Python floats, not numpy scalars: indexing an array costs more than the step
+    steps = rng.normal(0.0, config.proposal_sd, config.iterations).tolist()
+    log_u = np.log(rng.random(config.iterations)).tolist()
 
-    p = config.initial if config.initial is not None else default_initial(counts)
+    # a float state keeps every step in float64, whatever type `initial` has
+    p = float(config.initial if config.initial is not None else default_initial(counts))
     log_p = c1 * math.log(p) + c2 * math.log1p(-p)
-    draws = np.empty(config.iterations)
-    accepted = 0
+    # the chain is piecewise constant: keep each accepted move's first index
+    # and value, and expand them into the draws once at the end
+    starts, values = [0], [p]
     log, log1p = math.log, math.log1p  # bound locals: this loop is the hot path
-    for i in range(config.iterations):
-        proposal = p + steps[i]
+    for i, step in enumerate(steps):
+        proposal = p + step
         if 0.0 < proposal < 1.0:
             log_q = c1 * log(proposal) + c2 * log1p(-proposal)
             if log_u[i] < log_q - log_p:
                 p = proposal
                 log_p = log_q
-                accepted += 1
-        draws[i] = p
+                starts.append(i)
+                values.append(p)
+    starts.append(config.iterations)
     return Chain(
-        draws=draws,
+        draws=np.repeat(np.array(values, dtype=float), np.diff(starts)),
         config=config,
-        acceptance_rate=accepted / config.iterations,
+        acceptance_rate=(len(values) - 1) / config.iterations,
         counts=counts,
         prior=prior,
     )
@@ -122,6 +134,8 @@ def sample_chains(
     n_chains: int = 1,
 ) -> list[Chain]:
     """Independent chains on substreams (seed, chain index)."""
+    if _check_integer("n_chains", n_chains) < 1:
+        raise DomainError(f"n_chains must be at least 1, got {n_chains}")
     return [
         sample_posterior(counts, prior, replace(config, seed=derive_seed(config.seed, index)))
         for index in range(n_chains)

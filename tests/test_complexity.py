@@ -10,6 +10,7 @@ from weldqc.bayes import JEFFREYS, BetaParams, CountData, posterior
 from weldqc.complexity import (
     HellingerMatrix,
     Merge,
+    _hellinger_pairs,
     agglomerative_cluster,
     complexity_order,
     complexity_scores,
@@ -64,9 +65,11 @@ class TestHellinger:
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(1)
-        for _ in range(1000):
-            p, q, r = (random_params(rng) for _ in range(3))
-            assert hellinger(p, r) <= hellinger(p, q) + hellinger(q, r) + 1e-9
+        triples = [[random_params(rng) for _ in range(3)] for _ in range(1000)]
+        p, q, r = (np.array([(t[k].a, t[k].b) for t in triples]) for k in range(3))
+        direct = _hellinger_pairs(p, r)
+        via_q = _hellinger_pairs(np.vstack([p, q]), np.vstack([q, r]))
+        assert np.all(direct <= via_q[:1000] + via_q[1000:] + 1e-9)
 
     def test_closed_form_matches_quadrature(self):
         # oracle: H^2 = 1 - integral of sqrt(f_p * f_q) over (0, 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from weldqc.mcmc import (
     sample_posterior,
     trace_series,
 )
+from weldqc.streams import substream
 
 from refdata import AB_OPERATOR_A, OPERATOR_TABLE
 
@@ -29,6 +32,31 @@ class TestConfig:
             ChainConfig(proposal_sd=0.0)
         with pytest.raises(DomainError):
             ChainConfig(initial=1.5)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"burn_in": 10.5},
+            {"burn_in": 10.0},
+            {"burn_in": False},
+            {"iterations": 1000.0},
+            {"iterations": True, "burn_in": 0},
+            {"iterations": "1000"},
+        ],
+    )
+    def test_rejects_non_integer_sizes(self, fields):
+        with pytest.raises(DomainError):
+            ChainConfig(**fields)
+
+    def test_accepts_numpy_integer_sizes(self):
+        config = ChainConfig(iterations=np.int64(300), burn_in=np.int32(20), seed=1)
+        chain = sample_posterior(COUNTS, JEFFREYS, config)
+        assert chain.draws.shape == (300,) and len(chain.post_burn_in) == 280
+
+    @pytest.mark.parametrize("n_chains", [0, -3, 2.0, True, None])
+    def test_sample_chains_rejects_bad_counts(self, n_chains):
+        with pytest.raises(DomainError):
+            sample_chains(COUNTS, JEFFREYS, ChainConfig(iterations=50, burn_in=0), n_chains)
 
     def test_default_initial_is_clamped(self):
         assert default_initial(CountData(0, 0)) == pytest.approx(0.5)
@@ -89,6 +117,67 @@ class TestSampler:
         again = sample_chains(COUNTS, JEFFREYS, ChainConfig(seed=9), n_chains=3)
         assert all(np.array_equal(a.draws, b.draws) for a, b in zip(chains, again))
         assert not np.array_equal(chains[0].draws, chains[1].draws)
+
+
+def _reference_chain(counts, prior, config):
+    """The sampler's defining loop: numpy scalars per step, every draw stored."""
+    c1 = counts.failed + prior.a - 1.0
+    c2 = counts.inspected - counts.failed + prior.b - 1.0
+    rng = substream(config.seed)
+    steps = rng.normal(0.0, config.proposal_sd, config.iterations)
+    log_u = np.log(rng.random(config.iterations))
+    p = config.initial if config.initial is not None else default_initial(counts)
+    log_p = c1 * math.log(p) + c2 * math.log1p(-p)
+    draws = np.empty(config.iterations)
+    accepted = 0
+    for i in range(config.iterations):
+        proposal = p + steps[i]
+        if 0.0 < proposal < 1.0:
+            log_q = c1 * math.log(proposal) + c2 * math.log1p(-proposal)
+            if log_u[i] < log_q - log_p:
+                p = proposal
+                log_p = log_q
+                accepted += 1
+        draws[i] = p
+    return draws, accepted / config.iterations
+
+
+UNIFORM = BetaParams(1.0, 1.0)
+ORACLE_CASES = {
+    "jeffreys-x0": (CountData(0, 500), JEFFREYS, {}),
+    "jeffreys-x-equals-n": (CountData(500, 500), JEFFREYS, {}),
+    "uniform-x0": (CountData(0, 50), UNIFORM, {}),
+    "sd-50": (COUNTS, JEFFREYS, {"proposal_sd": 50.0}),
+    "sd-1e-4": (COUNTS, JEFFREYS, {"proposal_sd": 1e-4}),
+    "initial-near-0": (COUNTS, JEFFREYS, {"initial": 1e-6}),
+    "initial-near-1": (COUNTS, JEFFREYS, {"initial": 1.0 - 1e-6}),
+    "initial-float32": (COUNTS, JEFFREYS, {"initial": np.float32(0.3)}),
+    "one-kept-draw": (COUNTS, JEFFREYS, {"iterations": 201, "burn_in": 200}),
+    "1e9-inspected": (CountData(12, 10**9), JEFFREYS, {}),
+    "1e9-inspected-x0": (CountData(0, 10**9), JEFFREYS, {}),
+}
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_reference_loop(self, case, seed):
+        counts, prior, fields = ORACLE_CASES[case]
+        config = ChainConfig(**{"iterations": 3000, **fields, "seed": seed})
+        chain = sample_posterior(counts, prior, config)
+        draws, rate = _reference_chain(counts, prior, config)
+        assert np.array_equal(chain.draws, draws)
+        assert chain.acceptance_rate == rate
+        assert chain.draws.dtype == np.float64 and chain.draws.flags.c_contiguous
+        assert chain.draws.shape == (config.iterations,)
+
+    def test_chain_that_accepts_nothing(self):
+        config = ChainConfig(iterations=50, burn_in=0, proposal_sd=1e6, initial=np.float32(0.3))
+        chain = sample_posterior(COUNTS, JEFFREYS, config)
+        assert chain.acceptance_rate == 0.0
+        assert chain.draws.dtype == np.float64 and chain.draws.flags.c_contiguous
+        assert chain.draws.shape == (50,)
+        assert np.all(chain.draws == float(np.float32(0.3)))
 
 
 class TestAcf:
