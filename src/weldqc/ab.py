@@ -1,9 +1,17 @@
 """Probabilistic comparison of posterior samples (A/B testing).
 
-P(FN_A > FN_B) is estimated by resampling with replacement from the two
-stored draw lists and counting how often the A draw is >= the B draw.  The
-full pairwise operator matrix fixes its diagonal at 0.50 by convention; for
-continuous draws the tie mass is negligible, so M[i][j] + M[j][i] ~= 1.
+Entry (i, j) of the pairwise operator matrix is P(FN_i >= FN_j) over the
+stored post-burn-in draws; its diagonal is fixed at 0.50 by convention.
+
+`exact_matrix` counts every pair of draws: over all pairs the probability is
+the Mann-Whitney U statistic divided by n_i * n_j (Mann & Whitney 1947), so
+off the diagonal M[i][j] + M[j][i] - 1 is exactly the mass of tied pairs.
+This is the default of the `operators` command.
+
+`prob_greater` and `pairwise_matrix` are the paper's estimator: they draw n
+paired resamples with replacement from the two draw lists and count how
+often the A draw is >= the B draw, so each cell carries Monte Carlo error
+of about sqrt(p(1 - p)/n).  `operators --resamples N` uses them.
 """
 
 from __future__ import annotations
@@ -58,4 +66,33 @@ def pairwise_matrix(chains, n: int = DEFAULT_RESAMPLES, seed: int = 0) -> np.nda
                 continue
             cell_seed = derive_seed(seed, i, j)
             matrix[i, j] = prob_greater(values[i], values[j], n, cell_seed).prob_a_greater
+    return matrix
+
+
+def exact_matrix(chains) -> np.ndarray:
+    """Matrix with entry (i, j) = #{(x, y): x in i, y in j, x >= y} / (n_i n_j).
+
+    The diagonal is fixed at 0.50.  One sort of all draws serves every cell,
+    and memory stays linear in the total number of draws.
+    """
+    values = [_draw_values(c) for c in chains]
+    if not values:
+        raise DomainError("need at least one chain")
+    sizes = np.array([len(v) for v in values])
+    if not sizes.all():
+        raise DomainError(f"every chain needs at least one draw, got sizes {sizes.tolist()}")
+    size = len(values)
+    draws = np.concatenate(values)
+    owner = np.repeat(np.arange(size), sizes)
+    order = np.lexsort((owner, draws))
+    draws, owner = draws[order], owner[order]
+    # position of the last draw no larger than each draw, ties included
+    last = np.searchsorted(draws, draws, side="right") - 1
+    counts = np.empty((size, size))
+    for j in range(size):
+        # draws of chain j no larger than each draw, summed by the draw's chain
+        at_most = np.cumsum(owner == j)[last]
+        counts[:, j] = np.bincount(owner, weights=at_most, minlength=size)
+    matrix = counts / np.outer(sizes, sizes)
+    np.fill_diagonal(matrix, 0.5)
     return matrix

@@ -338,9 +338,11 @@ def cmd_operators(resolved: dict) -> int:
         ),
         key=lambda item: -item[2].median,
     )
-    matrix = ab.pairwise_matrix(
-        [chain for _, chain, _ in ranked], n=resolved["resamples"], seed=seed
-    )
+    ranked_chains = [chain for _, chain, _ in ranked]
+    if resolved["resamples"] is None:
+        matrix = ab.exact_matrix(ranked_chains)
+    else:
+        matrix = ab.pairwise_matrix(ranked_chains, n=resolved["resamples"], seed=seed)
 
     out = _out_dir(resolved)
     info = report.meta("operators", resolved, seed=seed)
@@ -527,12 +529,21 @@ def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
                 type_counts[key] = _count_data(spec["failed"], spec["inspected"])
     entries = []
     posteriors = {}
+    # one posterior per key, so inline counts must agree with any seen before
+    seen = dict(type_counts)
     for number, weld in enumerate(document["welds"], start=1):
         with _fields(f"design weld #{number}"):
             key = str(weld.get("key", f"type-{len(entries) + 1}"))
             count = _integer(weld.get("count", 1))
             if "failed" in weld and "inspected" in weld:
                 counts = _count_data(weld["failed"], weld["inspected"])
+                earlier = seen.setdefault(key, counts)
+                if earlier != counts:
+                    raise SchemaError(
+                        f"design weld #{number} gives key {key!r} {counts.failed} failed "
+                        f"of {counts.inspected}, but {earlier.failed} of "
+                        f"{earlier.inspected} were given before"
+                    )
             elif key in type_counts:
                 counts = type_counts[key]
             else:
@@ -702,7 +713,9 @@ COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
         "iterations": Option(10_000, _integer),
         "burn_in": Option(200, _integer),
         "proposal_sd": Option(0.05, float),
-        "resamples": Option(ab.DEFAULT_RESAMPLES, _integer),
+        "resamples": Option(None, _at_least(1), {
+            "help": "estimate each A/B cell from N resamples (default: exact over all draw pairs)",
+        }),
         "seed": _SEED,
         "group_by": Option(
             list(DEFAULT_GROUP_BY) + ["operator_id"], _operator_grouping, {"action": _CommaList}

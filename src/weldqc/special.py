@@ -117,7 +117,12 @@ def beta_log_pdf(x: float, a: float, b: float) -> float:
     """Log density of Beta(a, b) at x in (0, 1)."""
     if not (0.0 < x < 1.0):
         raise DomainError(f"beta_log_pdf requires 0 < x < 1, got {x}")
-    return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_beta(a, b)
+    return _beta_log_pdf(x, a, b, log_beta(a, b))
+
+
+def _beta_log_pdf(x: float, a: float, b: float, log_b: float) -> float:
+    """beta_log_pdf for x in (0, 1), given log_b = log B(a, b)."""
+    return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_b
 
 
 def beta_pdf(x: float, a: float, b: float) -> float:
@@ -174,14 +179,22 @@ def beta_cdf(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
+    return _beta_cdf(x, a, b, log_beta(a, b))
+
+
+def _beta_cdf(x: float, a: float, b: float, log_b: float) -> float:
+    """beta_cdf for positive shapes and x in (0, 1), given log_b = log B(a, b).
+
+    log_beta is symmetric bit for bit, so log_b also serves as log B(b, a).
+    """
     log_front = (
-        a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
+        a * math.log(x) + b * math.log1p(-x) - log_b
     )
     # symmetry split keeps the continued fraction in its fast-converging region
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(log_front) * _betacf(x, a, b) / a
     return 1.0 - math.exp(
-        b * math.log1p(-x) + a * math.log(x) - log_beta(b, a)
+        b * math.log1p(-x) + a * math.log(x) - log_b
     ) * _betacf(1.0 - x, b, a) / b
 
 
@@ -213,9 +226,10 @@ def beta_quantile(q: float, a: float, b: float) -> float:
 
     lo, hi = 0.0, 1.0
     x = _quantile_initial_guess(q, a, b)
+    log_b = log_beta(a, b)  # the shapes are fixed: one log B for every step
     best_x, best_err = x, math.inf
     for _ in range(_QUANTILE_MAX_ITER):
-        err = beta_cdf(x, a, b) - q
+        err = _beta_cdf(x, a, b, log_b) - q
         if abs(err) < best_err:
             best_x, best_err = x, abs(err)
         if abs(err) <= _QUANTILE_TOL:
@@ -230,8 +244,8 @@ def beta_quantile(q: float, a: float, b: float) -> float:
             return best_x
         step_ok = False
         try:
-            pdf = beta_pdf(x, a, b)
-        except (OverflowError, DomainError):
+            pdf = math.exp(_beta_log_pdf(x, a, b, log_b))
+        except OverflowError:
             pdf = 0.0
         if pdf > 0.0 and math.isfinite(pdf):
             candidate = x - err / pdf

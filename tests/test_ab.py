@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from weldqc.ab import pairwise_matrix, prob_greater
+from weldqc.ab import exact_matrix, pairwise_matrix, prob_greater
 from weldqc.bayes import JEFFREYS, CountData
 from weldqc.errors import DomainError
 from weldqc.mcmc import ChainConfig, empirical_five_number, sample_posterior
@@ -95,3 +97,64 @@ class TestPairwiseMatrix:
         first = pairwise_matrix(chains, n=20_000, seed=3)
         second = pairwise_matrix(chains, n=20_000, seed=3)
         assert np.array_equal(first, second)
+
+
+def _brute_force_matrix(chains):
+    """Mean of x >= y over every pair of draws, by a chains x draws comparison."""
+    matrix = np.array([[np.mean(a[:, None] >= b[None, :]) for b in chains] for a in chains])
+    np.fill_diagonal(matrix, 0.5)
+    return matrix
+
+
+@pytest.fixture()
+def tied_chains():
+    # unequal lengths, values repeated within a chain and shared across chains
+    rng = np.random.default_rng(12)
+    grid = np.round(np.linspace(0.01, 0.2, 25), 2)
+    chains = [rng.choice(grid, size) for size in (1, 7, 40, 113, 250)]
+    chains.append(np.repeat(chains[2][:5], 3))
+    return chains
+
+
+class TestExactMatrix:
+    def test_equals_brute_force_with_ties(self, tied_chains):
+        assert np.array_equal(exact_matrix(tied_chains), _brute_force_matrix(tied_chains))
+
+    def test_complement_is_the_tie_mass(self, tied_chains):
+        sizes = np.array([len(c) for c in tied_chains])
+        pairs = np.outer(sizes, sizes)
+        off = ~np.eye(len(tied_chains), dtype=bool)
+        scaled = exact_matrix(tied_chains) * pairs
+        counts = np.rint(scaled).astype(int)
+        assert np.allclose(scaled[off], counts[off], rtol=0, atol=1e-9)
+        ties = np.array([[np.sum(a[:, None] == b[None, :]) for b in tied_chains] for a in tied_chains])
+        assert np.array_equal((counts + counts.T - pairs)[off], ties[off])
+
+    def test_resampled_matrix_is_unbiased(self):
+        chains = [chain_for(120, k, seed=50 + k) for k in (4, 9, 10, 14)]
+        exact = exact_matrix(chains)
+        resampled = pairwise_matrix(chains, n=50_000, seed=4)
+        standard_error = np.sqrt(exact * (1.0 - exact) / 50_000)
+        assert np.all(np.abs(resampled - exact) <= 6.0 * standard_error)
+
+    def test_single_chain(self):
+        assert exact_matrix([chain_for(50, 5, seed=0)]).tolist() == [[0.5]]
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(DomainError):
+            exact_matrix([])
+        with pytest.raises(DomainError):
+            exact_matrix([[0.1, 0.2], []])
+
+    def test_memory_is_linear_in_total_draws(self):
+        rng = np.random.default_rng(14)
+        chains = [rng.beta(3.5, 60.5, 10_000) for _ in range(40)]
+        total = 40 * 10_000
+        tracemalloc.start()
+        try:
+            exact_matrix(chains)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a chains x draws intermediate alone would take 40 x 8 bytes per draw
+        assert peak < 16 * 8 * total

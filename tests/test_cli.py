@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from weldqc import report
+from weldqc import ab, report
 from weldqc.cli import COMMANDS, main
 
 from refdata import (
@@ -129,6 +129,44 @@ class TestOperators:
             "--min-inspected", "1", "--out-dir", str(tmp_path),
         ]) == 3
 
+    @pytest.fixture()
+    def matrix_calls(self, monkeypatch):
+        """(function name, chains) of every A/B matrix the command computes."""
+        calls = []
+        for name in ("exact_matrix", "pairwise_matrix"):
+            original = getattr(ab, name)
+
+            def spy(chains, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, list(chains)))
+                return _original(chains, *args, **kwargs)
+
+            monkeypatch.setattr(ab, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("resamples", [None, 1000])
+    def test_matrix_is_exact_unless_resampled(self, records_csv, tmp_path, matrix_calls, resamples):
+        out = tmp_path / "ops"
+        argv = [
+            "operators", "--input", str(records_csv), "--min-inspected", "50",
+            "--iterations", "2000", "--seed", "7", "--out-dir", str(out),
+        ]
+        if resamples is not None:
+            argv += ["--resamples", str(resamples)]
+        assert main(argv) == 0
+        [(name, chains)] = matrix_calls
+        if resamples is None:
+            assert name == "exact_matrix"
+            expected = ab.exact_matrix(chains)
+        else:
+            assert name == "pairwise_matrix"
+            expected = ab.pairwise_matrix(chains, n=resamples, seed=7)
+        assert [c.counts.inspected for c in chains] == [66, 52]
+        meta, body = read_meta_and_rows(out / "ab_matrix.csv")
+        written = [row.split(",")[1:] for row in body[1:]]
+        assert written == [[report.fmt(float(v)) for v in row] for row in expected]
+        config = json.loads(next(l for l in meta if l.startswith("# config: "))[10:])
+        assert config["resamples"] == resamples
+
     def test_single_operator(self, records_csv, tmp_path):
         out = tmp_path / "single"
         main([
@@ -229,6 +267,25 @@ class TestForecast:
         ])
         payload = json.loads((out / "forecast.json").read_text())
         assert "samples" not in payload
+
+    def test_agreeing_inline_counts_are_accepted(self, design_json, tmp_path):
+        inline = tmp_path / "inline.json"
+        inline.write_text(json.dumps({
+            "types": {"t1": {"failed": 10, "inspected": 100}},
+            "welds": [
+                {"key": "t1", "count": 3},
+                {"key": "t1", "count": 2, "failed": 10, "inspected": 100},
+            ],
+        }))
+        bodies = []
+        for design in (design_json, inline):
+            out = tmp_path / design.stem
+            assert main([
+                "forecast", "--design", str(design), "--iterations", "200",
+                "--seed", "3", "--out-dir", str(out),
+            ]) == 0
+            bodies.append(read_meta_and_rows(out / "forecast_quantiles.csv")[1])
+        assert bodies[0] == bodies[1]
 
     def test_unresolved_type(self, tmp_path):
         path = tmp_path / "bad_design.json"
@@ -343,6 +400,20 @@ MALFORMED_INPUTS = {
         })},
         ["forecast", "--design", "design.json"], 2, "weld #1",
     ),
+    "design-weld-counts-conflict-with-type": (
+        {"design.json": _json_bytes({
+            "types": {"t1": {"failed": 1, "inspected": 10}},
+            "welds": [{"key": "t1"}, {"key": "t1", "failed": 9, "inspected": 10}],
+        })},
+        ["forecast", "--design", "design.json"], 2, "weld #2",
+    ),
+    "design-weld-counts-conflict-inline": (
+        {"design.json": _json_bytes({"welds": [
+            {"key": "k", "count": 10, "failed": 1, "inspected": 1000},
+            {"key": "k", "failed": 900, "inspected": 1000},
+        ]})},
+        ["forecast", "--design", "design.json"], 2, "weld #2",
+    ),
     "design-weld-not-object": (
         {"design.json": _json_bytes({"welds": [1]})},
         ["forecast", "--design", "design.json"], 2, "weld #1",
@@ -420,6 +491,16 @@ MALFORMED_INPUTS = {
         {"export.csv": _EXPORT.encode()},
         ["operators", "--input", "export.csv", "--min-inspected", "1",
          "--iterations", "300", "--resamples", "10", "--seed", "-1"], 3, "seed",
+    ),
+    "flag-resamples-zero": (
+        {"export.csv": _EXPORT.encode()},
+        ["operators", "--input", "export.csv", "--min-inspected", "1", "--resamples", "0"], 3,
+        "resamples",
+    ),
+    "config-resamples-negative": (
+        {"export.csv": _EXPORT.encode(), "config.json": _json_bytes({"resamples": -5})},
+        ["operators", "--input", "export.csv", "--min-inspected", "1", "--config", "config.json"],
+        3, "resamples",
     ),
     "rework-negative-seed": (
         {"specs.json": _SPECS}, ["rework", "--specs", "specs.json", "--seed", "-1"], 3, "seed",

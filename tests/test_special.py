@@ -98,6 +98,44 @@ class TestIncompleteBeta:
             assert special.beta_cdf(x, 1.0, 1.0) == pytest.approx(x, abs=1e-14)
 
 
+def _reference_quantile(q, a, b):
+    """beta_quantile's Newton loop on the public cdf and pdf, each recomputing log B."""
+    lo, hi = 0.0, 1.0
+    x = special._quantile_initial_guess(q, a, b)
+    best_x, best_err = x, math.inf
+    for _ in range(special._QUANTILE_MAX_ITER):
+        err = special.beta_cdf(x, a, b) - q
+        if abs(err) < best_err:
+            best_x, best_err = x, abs(err)
+        if abs(err) <= special._QUANTILE_TOL:
+            return x
+        if err > 0.0:
+            hi = x
+        else:
+            lo = x
+        if hi - lo <= 4.0 * math.ulp(hi):
+            return best_x
+        step_ok = False
+        try:
+            pdf = special.beta_pdf(x, a, b)
+        except (OverflowError, DomainError):
+            pdf = 0.0
+        if pdf > 0.0 and math.isfinite(pdf):
+            candidate = x - err / pdf
+            if lo < candidate < hi:
+                x = candidate
+                step_ok = True
+        if not step_ok:
+            x = 0.5 * (lo + hi)
+    assert best_err <= 1e-8
+    return best_x
+
+
+GRID_SHAPES = [0.5, 1.0, 3.5, 40.5, 700.0, 10_000.0]
+LARGE_SHAPES = [(1e7 + 0.5, 1e6 + 0.5), (5e7, 1e9), (1e9, 1e9)]
+TINY_SHAPES = [(0.5, 1e9 + 0.5), (1.5, 1e9), (3.5, 2e8 + 0.5)]
+
+
 class TestBetaQuantile:
     def test_uniform_median(self):
         assert special.beta_quantile(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
@@ -108,16 +146,15 @@ class TestBetaQuantile:
 
     def test_round_trip_over_shape_grid(self):
         # cdf(quantile(q)) = q to 1e-8 and quantile(cdf(x)) = x to 1e-8
-        shapes = [0.5, 1.0, 3.5, 40.5, 700.0, 10_000.0]
         qs = np.linspace(0.001, 0.999, 41)
-        for a in shapes:
-            for b in shapes:
+        for a in GRID_SHAPES:
+            for b in GRID_SHAPES:
                 for q in qs:
                     x = special.beta_quantile(float(q), a, b)
                     assert abs(special.beta_cdf(x, a, b) - q) <= 1e-8
                     assert abs(special.beta_quantile(special.beta_cdf(x, a, b), a, b) - x) <= 1e-8
 
-    @pytest.mark.parametrize("a,b", [(1e7 + 0.5, 1e6 + 0.5), (5e7, 1e9), (1e9, 1e9)])
+    @pytest.mark.parametrize("a,b", LARGE_SHAPES)
     def test_large_shapes_match_scipy(self, a, b):
         # the continued fraction needs about sqrt(max(a, b)) terms at these shapes
         stats = pytest.importorskip("scipy.stats")
@@ -125,13 +162,19 @@ class TestBetaQuantile:
             expected = stats.beta.ppf(q, a, b)
             assert special.beta_quantile(q, a, b) == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("a,b", [(0.5, 1e9 + 0.5), (1.5, 1e9), (3.5, 2e8 + 0.5)])
+    @pytest.mark.parametrize("a,b", TINY_SHAPES)
     def test_one_tiny_shape_matches_scipy(self, a, b):
         # the cdf's front factor log B(a, b) once subtracted lgamma values near 2e10
         stats = pytest.importorskip("scipy.stats")
         for q in np.linspace(0.01, 0.99, 99):
             expected = stats.beta.ppf(q, a, b)
             assert special.beta_quantile(float(q), a, b) == pytest.approx(expected, rel=1e-7, abs=0)
+
+    def test_one_log_beta_per_quantile_is_bit_identical(self):
+        shapes = [(a, b) for a in GRID_SHAPES for b in GRID_SHAPES] + LARGE_SHAPES + TINY_SHAPES
+        for a, b in shapes:
+            for q in (0.001, 0.025, 0.3, 0.5, 0.975, 0.999):
+                assert special.beta_quantile(q, a, b) == _reference_quantile(q, a, b), (q, a, b)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
