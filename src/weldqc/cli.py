@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -77,6 +78,16 @@ def _integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("expected an integer")
     return int(value)
+
+
+def _amount(value) -> float:
+    """A finite number >= 0, such as hours or an efficiency; never a boolean."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got a boolean")
+    number = float(value)
+    if not 0 <= number < math.inf:
+        raise ValueError(f"expected a finite number >= 0, got {value!r}")
+    return number
 
 
 def _at_least(low: int):
@@ -544,10 +555,12 @@ def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
                         f"of {counts.inspected}, but {earlier.failed} of "
                         f"{earlier.inspected} were given before"
                     )
-            elif key in type_counts:
-                counts = type_counts[key]
+            elif key in seen:
+                counts = seen[key]
             else:
-                raise ConfigError(f"design references unresolved weld type {key!r}")
+                raise SchemaError(
+                    f"design weld #{number} references unresolved weld type {key!r}"
+                )
         entries.append((key, count))
         posteriors[key] = posterior(counts, prior)
     return forecast.ProjectDesign.from_type_counts(entries, posteriors)
@@ -600,8 +613,8 @@ def _load_specs(path: str, prior: BetaParams) -> list[rework.ProductSpec]:
             specs.append(
                 rework.ProductSpec(
                     posterior=posterior(counts, prior),
-                    estimated_hours=float(product["estimated_hours"]),
-                    efficiency=float(product.get("efficiency", rework.DEFAULT_EFFICIENCY)),
+                    estimated_hours=_amount(product["estimated_hours"]),
+                    efficiency=_amount(product.get("efficiency", rework.DEFAULT_EFFICIENCY)),
                     key=None if key is None else str(key),
                 )
             )
@@ -613,7 +626,7 @@ def _load_actuals(path: str | None) -> tuple[list[float], list[int]]:
         return [], []
     document = _read_json(path, "actuals", SchemaError)
     with _fields("actuals file"):
-        hours = [float(h) for h in document.get("hours", [])]
+        hours = [_amount(h) for h in document.get("hours", [])]
         results = [_integer(r) for r in document.get("results", [])]
     return hours, results
 

@@ -11,8 +11,13 @@ Inspection status coding: 0 = not inspected, 1 = inspected and passed,
 2 = inspected and failed.  Parsing is permissive (bad rows are reported,
 not dropped); `clean` enforces the invariants and reports every rejection.
 Every required column is categorical, so an export repeats a few distinct
-rows many times: each distinct row is parsed once, its repeats share one
-WeldRecord, and `summarize` counts each distinct record once.
+lines many times.  Each distinct line is split and parsed once (with an
+extra column such as a weld ID, each distinct set of required cells is
+parsed once), and its repeats share one WeldRecord, which `summarize`
+counts by identity.  Lines are split directly up to the first quote
+character, inner carriage return or line longer than the csv field limit;
+from there on `csv` reads the rest of the table, since a quoted field may
+span lines.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import csv
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -142,8 +148,10 @@ def open_table(source, name: str = "input") -> Iterator[TextIO]:
             yield source
     except OSError as exc:
         raise SchemaError(f"cannot read {name} {source}: {exc.strerror}")
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
         raise SchemaError(f"{name} is not a valid UTF-8 table: {exc}")
+    except csv.Error as exc:
+        raise SchemaError(f"{name} is a malformed table: {exc}")
 
 
 def parse_records(source, delimiter: str = ",") -> ParseResult:
@@ -169,10 +177,9 @@ def _parse_row(*cells: str) -> tuple[WeldRecord, str | None]:
 
 
 def _parse_rows(handle: TextIO, delimiter: str) -> ParseResult:
-    reader = csv.reader(handle, delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
+    lines = iter(handle)
+    header = next(csv.reader(lines, delimiter=delimiter), None)
+    if header is None:
         raise SchemaError("input is empty: expected a header row")
     names = [h.strip() for h in header]
     missing = [c for c in REQUIRED_COLUMNS if c not in names]
@@ -183,22 +190,57 @@ def _parse_rows(handle: TextIO, delimiter: str) -> ParseResult:
     # keyed on the required cells only, so an extra unique column (a weld ID,
     # a date) does not make every row distinct
     parsed: dict[tuple[str, ...], tuple[WeldRecord, str | None]] = {}
+
+    def outcome(row: list[str]) -> tuple[WeldRecord | None, str | None]:
+        """A row's record (None for a blank or short row) and its problem if any."""
+        if len(row) >= len(names):
+            cells = required_cells(row)
+            found = parsed.get(cells)
+            if found is not None:
+                return found
+        if not "".join(row).strip():
+            return None, None
+        if len(row) < len(names):
+            return None, f"expected {len(names)} fields, got {len(row)}"
+        found = _parse_row(*cells)
+        # a row is blank when all its cells are, so only cells with some text
+        # decide the outcome on their own
+        if "".join(cells).strip():
+            parsed[cells] = found
+        return found
+
+    # A line fixes its outcome, so with only required columns the raw line is
+    # the key; with an extra unique column almost every line is distinct and
+    # the line cache would only grow, so it stays empty.
+    by_line: dict[str, tuple[WeldRecord | None, str | None]] = {}
+    keyed = set(names) <= set(REQUIRED_COLUMNS)
+    limit = csv.field_size_limit()
+
+    def outcomes() -> Iterator[tuple[WeldRecord | None, str | None]]:
+        for line in lines:
+            result = by_line.get(line)
+            if result is None:
+                text = line.rstrip("\r\n")
+                # csv would split these differently: a quoted field may span
+                # lines, an inner line break is an error, so is an oversized field
+                if '"' in line or "\r" in text or "\n" in text or len(line) > limit:
+                    break
+                result = outcome(text.split(delimiter))
+                if keyed:
+                    by_line[line] = result
+            yield result
+        else:
+            return
+        for row in csv.reader(chain([line], lines), delimiter=delimiter):
+            yield outcome(row)
+
     records: list[WeldRecord] = []
     issues: list[ParseIssue] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not "".join(row).strip():
-            continue
-        if len(row) < len(names):
-            issues.append(ParseIssue(line_no, f"expected {len(names)} fields, got {len(row)}"))
-            continue
-        cells = required_cells(row)
-        outcome = parsed.get(cells)
-        if outcome is None:
-            outcome = parsed[cells] = _parse_row(*cells)
-        record, problem = outcome
+    for line_no, (record, problem) in enumerate(outcomes(), start=2):
         if problem is not None:
             issues.append(ParseIssue(line_no, problem))
-        records.append(record)
+        if record is not None:
+            records.append(record)
     return ParseResult(records=records, issues=issues)
 
 
@@ -244,27 +286,32 @@ def summarize(
 
     total = all rows in the group, inspected = rows with status 1 or 2,
     repaired = rows with status 2.  Output is sorted by key, so equal inputs
-    in any order produce identical summaries.  Equal records are counted
-    together, so the work grows with the number of distinct records.
+    in any order produce identical summaries.  Records are counted by
+    identity first, so past one pass the work grows with the number of
+    distinct record objects.
     """
     bad = set(group_by) - set(KEY_FIELDS)
     if bad:
         raise SchemaError(f"cannot group by non-key field(s): {', '.join(sorted(bad))}")
-    groups: dict[GroupKey, list[int]] = {}
-    for record, count in Counter(records).items():
-        key = GroupKey(**{f: getattr(record, f) for f in group_by})
-        counts = groups.setdefault(key, [0, 0, 0])
+    records = list(records)
+    by_id = dict(zip(map(id, records), records))
+    groups: dict[tuple, list[int]] = {}
+    # parsed repeats share one object, so counting identities (not hashing
+    # every dataclass) finds the distinct records; equal records that are
+    # separate objects still land in the same group
+    for ident, count in Counter(map(id, records)).items():
+        record = by_id[ident]
+        counts = groups.setdefault(tuple(getattr(record, f) for f in group_by), [0, 0, 0])
         counts[0] += count
         if record.inspection_status in (1, 2):
             counts[1] += count
         if record.inspection_status == 2:
             counts[2] += count
-    return [
-        GroupSummary(key, total, inspected, repaired)
-        for key, (total, inspected, repaired) in sorted(
-            groups.items(), key=lambda item: item[0].sort_key()
-        )
+    summaries = [
+        GroupSummary(GroupKey(**dict(zip(group_by, values))), *counts)
+        for values, counts in groups.items()
     ]
+    return sorted(summaries, key=lambda summary: summary.key.sort_key())
 
 
 def filter_summaries(

@@ -277,20 +277,28 @@ class TestForecast:
                 {"key": "t1", "count": 2, "failed": 10, "inspected": 100},
             ],
         }))
+        # inline counts on an earlier weld define the key for later welds
+        defining = tmp_path / "defining.json"
+        defining.write_text(json.dumps({
+            "welds": [
+                {"key": "t1", "count": 3, "failed": 10, "inspected": 100},
+                {"key": "t1", "count": 2},
+            ],
+        }))
         bodies = []
-        for design in (design_json, inline):
+        for design in (design_json, inline, defining):
             out = tmp_path / design.stem
             assert main([
                 "forecast", "--design", str(design), "--iterations", "200",
                 "--seed", "3", "--out-dir", str(out),
             ]) == 0
             bodies.append(read_meta_and_rows(out / "forecast_quantiles.csv")[1])
-        assert bodies[0] == bodies[1]
+        assert bodies[0] == bodies[1] == bodies[2]
 
     def test_unresolved_type(self, tmp_path):
         path = tmp_path / "bad_design.json"
         path.write_text(json.dumps({"welds": [{"key": "ghost", "count": 2}]}))
-        assert main(["forecast", "--design", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert main(["forecast", "--design", str(path), "--out-dir", str(tmp_path)]) == 2
 
 
 class TestRework:
@@ -414,6 +422,12 @@ MALFORMED_INPUTS = {
         ]})},
         ["forecast", "--design", "design.json"], 2, "weld #2",
     ),
+    "design-weld-unresolved-type": (
+        {"design.json": _json_bytes({"welds": [
+            {"key": "k", "failed": 1, "inspected": 10}, {"key": "ghost"},
+        ]})},
+        ["forecast", "--design", "design.json"], 2, "weld #2",
+    ),
     "design-weld-not-object": (
         {"design.json": _json_bytes({"welds": [1]})},
         ["forecast", "--design", "design.json"], 2, "weld #1",
@@ -425,6 +439,18 @@ MALFORMED_INPUTS = {
     "specs-efficiency-text": (
         {"specs.json": _json_bytes({"products": [{**_PRODUCT, "efficiency": "x"}]})},
         ["rework", "--specs", "specs.json"], 2, "product #1",
+    ),
+    "specs-hours-nan": (
+        {"specs.json": _json_bytes({"products": [_PRODUCT, {**_PRODUCT, "estimated_hours": float("nan")}]})},
+        ["rework", "--specs", "specs.json"], 2, "product #2",
+    ),
+    "specs-efficiency-infinite": (
+        {"specs.json": _json_bytes({"products": [{**_PRODUCT, "efficiency": float("inf")}]})},
+        ["rework", "--specs", "specs.json"], 2, "product #1",
+    ),
+    "actuals-hours-negative": (
+        {"specs.json": _SPECS, "actuals.json": _json_bytes({"hours": [-1.5], "results": [0]})},
+        ["rework", "--specs", "specs.json", "--actuals", "actuals.json"], 2, "actuals",
     ),
     "specs-json-list": (
         {"specs.json": b"[]"}, ["rework", "--specs", "specs.json"], 2, "JSON object",

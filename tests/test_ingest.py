@@ -1,5 +1,8 @@
+import csv
 import io
 import random
+from dataclasses import astuple
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +129,116 @@ class TestDistinctRows:
         assert [issue.line for issue in result.issues] == [3]
         kept, report = clean(result.records)
         assert kept == [] and report.as_dict() == {"blank_field": 1}
+
+
+def csv_loop_parse(source, delimiter=","):
+    """The csv row loop the line-keyed parser replaced, kept as its oracle."""
+    with ingest.open_table(source) as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("input is empty: expected a header row")
+        names = [h.strip() for h in header]
+        missing = [c for c in ingest.REQUIRED_COLUMNS if c not in names]
+        if missing:
+            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+        required_cells = itemgetter(*(names.index(c) for c in ingest.REQUIRED_COLUMNS))
+        records, issues = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) < len(names):
+                issues.append((line_no, f"expected {len(names)} fields, got {len(row)}"))
+                continue
+            record, problem = ingest._parse_row(*required_cells(row))
+            if problem is not None:
+                issues.append((line_no, problem))
+            records.append(astuple(record))
+        return records, issues
+
+
+def outcome(parse, source, delimiter):
+    """Records as tuples and issues as (line, message), or the SchemaError message."""
+    try:
+        result = parse(source, delimiter)
+    except SchemaError as exc:
+        return "error", str(exc)
+    if isinstance(result, ingest.ParseResult):
+        return [astuple(r) for r in result.records], [(i.line, i.message) for i in result.issues]
+    return result
+
+
+@st.composite
+def export_tables(draw):
+    """(text, delimiter, field size limit) of a table that csv and a plain split may read differently."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    terminators = st.sampled_from(["\n", "\r\n", "\r"])
+    cell = st.sampled_from([
+        "7", " 8 ", "BW", "STD", "4.00", "Material A", "0", "1", "2", "oops", "", " ",
+        "a\x00b", f'"M{delimiter}A"', '"two\nlines"', '"q""q"', 'a"b', "x" * 25,
+    ])
+    width = len(ingest.REQUIRED_COLUMNS)
+    # an extra column's ID goes into every "row", so blank required cells
+    # there make a row that is not blank; "blank" rows stay blank
+    kinds = st.one_of(
+        st.lists(cell, min_size=width, max_size=width + 1).map(lambda cells: ("row", cells)),
+        st.lists(cell, max_size=width - 1).map(lambda cells: ("row", cells)),
+        st.just(("row", [" "] * width)),
+        st.sampled_from([[], [" "], [""] * width, [" "] * (width + 1), [" ", "\t "]]).map(
+            lambda cells: ("blank", cells)
+        ),
+    )
+    distinct = draw(st.lists(st.tuples(kinds, terminators), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=40))
+    names = list(ingest.REQUIRED_COLUMNS)
+    extra = draw(st.none() | st.integers(0, width))
+    if extra is not None:
+        names.insert(extra, "weld_id")
+    lines = [delimiter.join(names) + draw(terminators)]
+    for number, pick in enumerate(picks):
+        (kind, cells), terminator = distinct[pick]
+        if extra is not None and kind == "row":
+            cells = [*cells[:extra], f"W{number}", *cells[extra:]]
+        lines.append(delimiter.join(cells) + terminator)
+    if draw(st.booleans()):  # the last line may end without a terminator
+        lines[-1] = lines[-1].rstrip("\r\n")
+    limit = draw(st.sampled_from([csv.field_size_limit(), 20]))
+    return "".join(lines), delimiter, limit
+
+
+class TestLineKeyedParse:
+    """parse_records reads every table exactly as the csv row loop does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        table=export_tables(),
+        source=st.sampled_from(["path", "stringio", "stringio-raw", "handle-cr"]),
+    )
+    def test_equals_csv_loop(self, table, source, tmp_path_factory):
+        text, delimiter, limit = table
+        path = tmp_path_factory.mktemp("export") / "export.csv"
+        path.write_bytes(text.encode("utf-8"))
+
+        def parsed(parse):
+            if source == "path":
+                return outcome(parse, path, delimiter)
+            if source == "handle-cr":  # lines end at "\r" only, so a "\n" can sit inside one
+                with open(path, encoding="utf-8", newline="\r") as handle:
+                    return outcome(parse, handle, delimiter)
+            newline = "" if source == "stringio-raw" else "\n"
+            return outcome(parse, io.StringIO(text, newline=newline), delimiter)
+
+        previous = csv.field_size_limit(limit)
+        try:
+            assert parsed(parse_records) == parsed(csv_loop_parse)
+        finally:
+            csv.field_size_limit(previous)
+
+    def test_field_over_limit_is_a_malformed_table(self):
+        text = table("7,BW,STD,2," + "x" * (csv.field_size_limit() + 1) + ",0,1")
+        with pytest.raises(SchemaError, match="input is a malformed table: field larger than field limit"):
+            parse_records(text)
 
 
 @pytest.mark.parametrize(
