@@ -7,6 +7,12 @@ file (--config), then explicit flags; _resolve coerces or rejects a value from
 either source.  Every stochastic command runs under an explicit or defaulted
 seed that is echoed into each output file.
 
+Handlers compute and render everything and touch no file: each returns its
+artifacts as (file name, payload) pairs, and its stdout line with `{out}` for
+the output directory.  `main` is the only writer: one report header, then each
+artifact by the writer its suffix names (.csv takes (header, rows), .json a
+mapping, .svg the text).
+
 Exit codes: 0 success, 2 input/schema error, 3 configuration error,
 4 numeric/domain error.
 """
@@ -41,6 +47,9 @@ from .ingest import (
 from .streams import derive_seed
 
 OUT_DIR_ENV = "WELDQC_OUT"
+
+#: (file name, payload) pairs a handler returns; the suffix picks the writer
+Artifacts = list[tuple[str, object]]
 
 
 def _flag(value) -> bool:
@@ -80,14 +89,25 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _amount(value) -> float:
-    """A finite number >= 0, such as hours or an efficiency; never a boolean."""
-    if isinstance(value, bool):
-        raise TypeError("expected a number, got a boolean")
-    number = float(value)
-    if not 0 <= number < math.inf:
-        raise ValueError(f"expected a finite number >= 0, got {value!r}")
-    return number
+def _number(inside: Callable[[float], bool], expected: str):
+    """A float for which `inside` holds; never a boolean."""
+
+    def check(value) -> float:
+        if isinstance(value, bool):
+            raise TypeError("expected a number, got a boolean")
+        number = float(value)
+        if not inside(number):
+            raise ValueError(f"expected {expected}, got {value!r}")
+        return number
+
+    return check
+
+
+#: hours or an efficiency
+_amount = _number(lambda x: 0 <= x < math.inf, "a finite number >= 0")
+#: a Beta shape or a proposal width
+_positive = _number(lambda x: 0 < x < math.inf, "a finite number > 0")
+_probability = _number(lambda x: 0 < x < 1, "a number strictly between 0 and 1")
 
 
 def _at_least(low: int):
@@ -100,9 +120,9 @@ def _at_least(low: int):
     return check
 
 
-def _pair(value) -> list[float]:
+def _shapes(value) -> list[float]:
     a, b = value
-    return [float(a), float(b)]
+    return [_positive(a), _positive(b)]
 
 
 _REQUIRED = object()
@@ -182,23 +202,11 @@ def _read_json(path: str, what: str, error_cls: type[WeldQCError]) -> dict:
 
 @contextmanager
 def _fields(record: str):
-    """Map a missing or mistyped field of a data-file record to a SchemaError."""
+    """Map a missing, mistyped or out-of-range field of a data-file record to a SchemaError."""
     try:
         yield
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, DomainError) as exc:
         raise SchemaError(f"{record} has a missing or malformed field: {exc}")
-
-
-def _count_data(failed, inspected) -> CountData:
-    """CountData from data-file values; `_fields` names the record if they conflict."""
-    try:
-        return CountData(_integer(failed), _integer(inspected))
-    except DomainError as exc:
-        raise ValueError(exc) from None
-
-
-def _out_dir(resolved: dict) -> Path:
-    return Path(resolved.get("out_dir") or os.environ.get(OUT_DIR_ENV) or ".")
 
 
 def _delimiter(resolved: dict) -> str:
@@ -237,48 +245,30 @@ def _load_summaries(resolved: dict) -> tuple[list, dict]:
 # ---------------------------------------------------------------- summarize
 
 
-def cmd_summarize(resolved: dict) -> int:
+def cmd_summarize(resolved: dict) -> tuple[Artifacts, str]:
     summaries, ingest_info = _load_summaries(resolved)
     summaries = filter_summaries(summaries, min_inspected=resolved["min_inspected"])
 
-    out = _out_dir(resolved)
-    info = report.meta("summarize", resolved, seed=None)
     key_fields = [f for f in KEY_FIELDS if f in resolved["group_by"]]
+    count_fields = ["total_welds", "inspected_welds", "repaired_welds"]
     rows = [
-        [getattr(s.key, f) for f in key_fields]
-        + [s.total_welds, s.inspected_welds, s.repaired_welds]
+        [getattr(s.key, f) for f in key_fields] + [getattr(s, f) for f in count_fields]
         for s in summaries
     ]
-    report.write_table(
-        out / "summary.csv",
-        key_fields + ["total_welds", "inspected_welds", "repaired_welds"],
-        rows,
-        info,
-    )
-    report.write_json(
-        out / "summary.json",
-        {
-            "groups": [
-                {
-                    "key": s.key.as_dict(),
-                    "total_welds": s.total_welds,
-                    "inspected_welds": s.inspected_welds,
-                    "repaired_welds": s.repaired_welds,
-                }
-                for s in summaries
-            ]
-        },
-        info,
-    )
-    report.write_json(out / "rejections.json", ingest_info, info)
-    print(f"wrote {len(summaries)} group summaries to {out}")
-    return 0
+    groups = [
+        {"key": s.key.as_dict(), **{f: getattr(s, f) for f in count_fields}} for s in summaries
+    ]
+    return [
+        ("summary.csv", (key_fields + count_fields, rows)),
+        ("summary.json", {"groups": groups}),
+        ("rejections.json", ingest_info),
+    ], f"wrote {len(summaries)} group summaries to {{out}}"
 
 
 # ------------------------------------------------------------------ interval
 
 
-def cmd_interval(resolved: dict) -> int:
+def cmd_interval(resolved: dict) -> tuple[Artifacts, str]:
     counts = CountData(resolved["failed"], resolved["inspected"])
     prior = BetaParams(*resolved["prior"])
     alpha = resolved["alpha"]
@@ -302,20 +292,16 @@ def cmd_interval(resolved: dict) -> int:
             classical[name] = {"lower": ci.lower, "upper": ci.upper}
         payload["classical_intervals"] = classical
 
-    out = _out_dir(resolved)
-    info = report.meta("interval", resolved, seed=None)
-    report.write_json(out / "interval.json", payload, info)
-    print(
+    return [("interval.json", payload)], (
         f"credible interval [{report.fmt(interval.lower)}, {report.fmt(interval.upper)}] "
         f"at level {report.fmt(interval.level)}"
     )
-    return 0
 
 
 # ----------------------------------------------------------------- operators
 
 
-def cmd_operators(resolved: dict) -> int:
+def cmd_operators(resolved: dict) -> tuple[Artifacts, str]:
     summaries, _ = _load_summaries(resolved)
     key_filter = {
         f: resolved[f]
@@ -355,49 +341,20 @@ def cmd_operators(resolved: dict) -> int:
     else:
         matrix = ab.pairwise_matrix(ranked_chains, n=resolved["resamples"], seed=seed)
 
-    out = _out_dir(resolved)
-    info = report.meta("operators", resolved, seed=seed)
     ids = [summary.key.operator_id for summary, _, _ in ranked]
-    report.write_table(
-        out / "operators.csv",
-        [
-            "operator_id",
-            "inspected_welds",
-            "repaired_welds",
-            "whisker_low",
-            "q1",
-            "median",
-            "q3",
-            "whisker_high",
-        ],
-        [
-            [
-                summary.key.operator_id,
-                summary.inspected_welds,
-                summary.repaired_welds,
-                five.whisker_low,
-                five.q1,
-                five.median,
-                five.q3,
-                five.whisker_high,
-            ]
-            for summary, _, five in ranked
-        ],
-        info,
-    )
-    report.write_table(
-        out / "ab_matrix.csv",
-        ["operator_id"] + ids,
-        [[ids[i]] + [matrix[i, j] for j in range(len(ids))] for i in range(len(ids))],
-        info,
-    )
-    report.write_svg(
-        out / "operators_boxplot.svg",
-        render.boxplot_svg(ids, [five for _, _, five in ranked]),
-        info,
-    )
-    print(f"ranked {len(ranked)} operators; outputs in {out}")
-    return 0
+    header = ["operator_id", "inspected_welds", "repaired_welds"]
+    header += ["whisker_low", "q1", "median", "q3", "whisker_high"]
+    rows = [
+        [summary.key.operator_id, summary.inspected_welds, summary.repaired_welds]
+        + [five.whisker_low, five.q1, five.median, five.q3, five.whisker_high]
+        for summary, _, five in ranked
+    ]
+    matrix_rows = [[ids[i]] + [matrix[i, j] for j in range(len(ids))] for i in range(len(ids))]
+    return [
+        ("operators.csv", (header, rows)),
+        ("ab_matrix.csv", (["operator_id"] + ids, matrix_rows)),
+        ("operators_boxplot.svg", render.boxplot_svg(ids, [five for _, _, five in ranked])),
+    ], f"ranked {len(ranked)} operators; outputs in {{out}}"
 
 
 # ---------------------------------------------------------------- complexity
@@ -418,19 +375,22 @@ def _counts_from_file(path: str, delimiter: str) -> list[dict]:
     rows = []
     for number, record in enumerate(records, start=1):
         with _fields(f"counts row {number}"):
-            counts = _count_data(record["repaired"], record["inspected"])
+            counts = CountData(_integer(record["repaired"]), _integer(record["inspected"]))
+            total = _integer(record["total"]) if record.get("total") else None
+            if total is not None and total < counts.inspected:
+                raise ValueError(f"total {total} is below inspected {counts.inspected}")
             rows.append(
                 {
                     "label": record["label"].strip(),
                     "inspected": counts.inspected,
                     "repaired": counts.failed,
-                    "total": int(record["total"]) if record.get("total") else None,
+                    "total": total,
                 }
             )
     return rows
 
 
-def cmd_complexity(resolved: dict) -> int:
+def cmd_complexity(resolved: dict) -> tuple[Artifacts, str]:
     if resolved["counts"]:
         rows = _counts_from_file(resolved["counts"], _delimiter(resolved))
     elif resolved["input"]:
@@ -469,64 +429,49 @@ def cmd_complexity(resolved: dict) -> int:
     totals = [r["total"] for r in rows] if totals_known else None
     cluster_labels = complexity.label_clusters(assignments, scores, totals)
 
-    out = _out_dir(resolved)
-    info = report.meta("complexity", resolved, seed=None)
     letter_of = {}
     for label in cluster_labels:
         for member in label.members:
             letter_of[member] = label.letter
-    report.write_table(
-        out / "complexity_scores.csv",
-        ["label", "inspected", "repaired", "median", "raw_score", "scaled_score", "cluster"],
+    score_rows = [
+        [r["label"], r["inspected"], r["repaired"], s.median, s.raw, s.scaled, letter_of[i]]
+        for i, (r, s) in enumerate(zip(rows, scores))
+    ]
+    cluster_rows = [
         [
-            [
-                rows[i]["label"],
-                rows[i]["inspected"],
-                rows[i]["repaired"],
-                scores[i].median,
-                scores[i].raw,
-                scores[i].scaled,
-                letter_of[i],
-            ]
-            for i in range(len(rows))
-        ],
-        info,
-    )
-    report.write_table(
-        out / "hellinger_matrix.csv",
-        ["label"] + labels,
-        [[labels[i]] + list(matrix.values[i]) for i in range(len(labels))],
-        info,
-    )
-    report.write_json(out / "dendrogram.json", complexity.tree_to_dict(tree), info)
-    report.write_table(
-        out / "clusters.csv",
-        ["cluster", "members", "mean_scaled_score", "total_welds", "business_share"],
-        [
-            [
-                label.letter,
-                "|".join(labels[i] for i in label.members),
-                label.mean_score,
-                label.total_welds if label.total_welds is not None else "",
-                label.share if label.share is not None else "",
-            ]
-            for label in cluster_labels
-        ],
-        info,
-    )
-    report.write_svg(out / "dendrogram.svg", render.dendrogram_svg(tree), info)
-    print(f"scored {len(rows)} product types into {k} clusters; outputs in {out}")
-    return 0
+            label.letter,
+            "|".join(labels[i] for i in label.members),
+            label.mean_score,
+            label.total_welds if label.total_welds is not None else "",
+            label.share if label.share is not None else "",
+        ]
+        for label in cluster_labels
+    ]
+    return [
+        ("complexity_scores.csv", (
+            ["label", "inspected", "repaired", "median", "raw_score", "scaled_score", "cluster"],
+            score_rows,
+        )),
+        ("hellinger_matrix.csv", (
+            ["label"] + labels,
+            [[labels[i]] + list(matrix.values[i]) for i in range(len(labels))],
+        )),
+        ("dendrogram.json", complexity.tree_to_dict(tree)),
+        ("clusters.csv", (
+            ["cluster", "members", "mean_scaled_score", "total_welds", "business_share"],
+            cluster_rows,
+        )),
+        ("dendrogram.svg", render.dendrogram_svg(tree)),
+    ], f"scored {len(rows)} product types into {k} clusters; outputs in {{out}}"
 
 
 # ------------------------------------------------------------------ forecast
 
 
-def _write_quantiles(path: Path, table: list[tuple[float, float]], info: dict) -> dict:
-    """One CSV row of quantiles headed 0%..100%; returns them keyed by those labels."""
-    quantiles = {f"{round(level * 100)}%": value for level, value in table}
-    report.write_table(path, list(quantiles), [list(quantiles.values())], info)
-    return quantiles
+def _quantiles(table: list[tuple[float, float]]) -> tuple[dict, tuple[list, list]]:
+    """Quantiles keyed 0%..100%, and the one-row CSV table headed by those keys."""
+    keyed = {f"{round(level * 100)}%": value for level, value in table}
+    return keyed, (list(keyed), [list(keyed.values())])
 
 
 def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
@@ -537,7 +482,7 @@ def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
     with _fields("design 'types'"):
         for key, spec in (document.get("types") or {}).items():
             with _fields(f"design type {key!r}"):
-                type_counts[key] = _count_data(spec["failed"], spec["inspected"])
+                type_counts[key] = CountData(_integer(spec["failed"]), _integer(spec["inspected"]))
     entries = []
     posteriors = {}
     # one posterior per key, so inline counts must agree with any seen before
@@ -545,9 +490,9 @@ def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
     for number, weld in enumerate(document["welds"], start=1):
         with _fields(f"design weld #{number}"):
             key = str(weld.get("key", f"type-{len(entries) + 1}"))
-            count = _integer(weld.get("count", 1))
+            count = _at_least(1)(weld.get("count", 1))
             if "failed" in weld and "inspected" in weld:
-                counts = _count_data(weld["failed"], weld["inspected"])
+                counts = CountData(_integer(weld["failed"]), _integer(weld["inspected"]))
                 earlier = seen.setdefault(key, counts)
                 if earlier != counts:
                     raise SchemaError(
@@ -566,7 +511,7 @@ def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
     return forecast.ProjectDesign.from_type_counts(entries, posteriors)
 
 
-def cmd_forecast(resolved: dict) -> int:
+def cmd_forecast(resolved: dict) -> tuple[Artifacts, str]:
     design = _load_design(resolved["design"], BetaParams(*resolved["prior"]))
     result = forecast.simulate_project(
         design,
@@ -575,9 +520,7 @@ def cmd_forecast(resolved: dict) -> int:
         mode=resolved["mode"],
     )
 
-    out = _out_dir(resolved)
-    info = report.meta("forecast", resolved, seed=resolved["seed"])
-    quantiles = _write_quantiles(out / "forecast_quantiles.csv", result.quantiles(), info)
+    quantiles, quantile_table = _quantiles(result.quantiles())
     payload = {
         "n_welds": design.n_welds,
         "n_types": design.n_types,
@@ -587,15 +530,14 @@ def cmd_forecast(resolved: dict) -> int:
     }
     if resolved["keep_samples"]:
         payload["samples"] = [float(v) for v in result.samples]
-    report.write_json(out / "forecast.json", payload, info)
-    report.write_svg(
-        out / "forecast_histogram.svg", render.histogram_svg(result.samples), info
-    )
-    print(
+    return [
+        ("forecast_quantiles.csv", quantile_table),
+        ("forecast.json", payload),
+        ("forecast_histogram.svg", render.histogram_svg(result.samples)),
+    ], (
         f"project fraction nonconforming median {report.fmt(quantiles['50%'])} "
-        f"over {result.iterations} iterations; outputs in {out}"
+        f"over {result.iterations} iterations; outputs in {{out}}"
     )
-    return 0
 
 
 # -------------------------------------------------------------------- rework
@@ -609,7 +551,7 @@ def _load_specs(path: str, prior: BetaParams) -> list[rework.ProductSpec]:
     for number, product in enumerate(products, start=1):
         with _fields(f"product #{number}"):
             key = product.get("key")
-            counts = _count_data(product["failed"], product["inspected"])
+            counts = CountData(_integer(product["failed"]), _integer(product["inspected"]))
             specs.append(
                 rework.ProductSpec(
                     posterior=posterior(counts, prior),
@@ -631,7 +573,7 @@ def _load_actuals(path: str | None) -> tuple[list[float], list[int]]:
     return hours, results
 
 
-def cmd_rework(resolved: dict) -> int:
+def cmd_rework(resolved: dict) -> tuple[Artifacts, str]:
     specs = _load_specs(resolved["specs"], BetaParams(*resolved["prior"]))
     hours, results = _load_actuals(resolved["actuals"])
     seed = resolved["seed"]
@@ -649,39 +591,32 @@ def cmd_rework(resolved: dict) -> int:
         update_posteriors=resolved["update_posteriors"],
     )
 
-    out = _out_dir(resolved)
-    info = report.meta("rework", resolved, seed=seed)
-    quantiles = _write_quantiles(out / "rework_quantiles.csv", estimate.quantiles(), info)
-    report.write_json(
-        out / "rework.json",
-        {
-            "mean": estimate.mean,
-            "iterations": estimate.iterations,
-            "quantiles": quantiles,
-            "limits": asdict(limits),
-        },
-        info,
-    )
-    report.write_table(
-        out / "control_chart.csv",
-        ["state", "median", "band_low", "band_high", "accrued_actual_hours", "flag"],
-        [
-            [p.state, p.median, p.band_low, p.band_high, p.accrued_actual_hours, p.flag]
-            for p in series.points
-        ],
-        info,
-    )
-    report.write_json(
-        out / "control_chart.json",
-        {"limits": asdict(limits), "points": [asdict(p) for p in series.points]},
-        info,
-    )
-    report.write_svg(out / "control_chart.svg", render.control_chart_svg(series), info)
-    print(
+    quantiles, quantile_table = _quantiles(estimate.quantiles())
+    summary = {
+        "mean": estimate.mean,
+        "iterations": estimate.iterations,
+        "quantiles": quantiles,
+        "limits": asdict(limits),
+    }
+    chart_rows = [
+        [p.state, p.median, p.band_low, p.band_high, p.accrued_actual_hours, p.flag]
+        for p in series.points
+    ]
+    return [
+        ("rework_quantiles.csv", quantile_table),
+        ("rework.json", summary),
+        ("control_chart.csv", (
+            ["state", "median", "band_low", "band_high", "accrued_actual_hours", "flag"],
+            chart_rows,
+        )),
+        ("control_chart.json", {
+            "limits": asdict(limits), "points": [asdict(p) for p in series.points],
+        }),
+        ("control_chart.svg", render.control_chart_svg(series)),
+    ], (
         f"rework estimate median {report.fmt(limits.cl)} h "
-        f"(LCL {report.fmt(limits.lcl)}, UCL {report.fmt(limits.ucl)}); outputs in {out}"
+        f"(LCL {report.fmt(limits.lcl)}, UCL {report.fmt(limits.ucl)}); outputs in {{out}}"
     )
-    return 0
 
 
 # -------------------------------------------------------------------- parser
@@ -691,11 +626,11 @@ _INPUT = Option(_REQUIRED, str)
 _DELIMITER = Option(",", _choice(",", "tab", ";", "\\t", "\t"))
 _WHERE = Option([], _strings, {"action": "append", "metavar": "FIELD=VALUE"})
 _GROUP_BY = Option(list(DEFAULT_GROUP_BY), _strings, {"action": _CommaList})
-_PRIOR = Option([0.5, 0.5], _pair, {"nargs": 2, "metavar": ("A", "B")})
+_PRIOR = Option([0.5, 0.5], _shapes, {"nargs": 2, "metavar": ("A", "B")})
 _SEED = Option(0, _integer)
 
 #: command -> (handler, help, options): the one declaration of every option
-COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
+COMMANDS: dict[str, tuple[Callable[[dict], tuple[Artifacts, str]], str, dict[str, Option]]] = {
     "summarize": (cmd_summarize, "parse, clean and group raw inspection exports", {
         "input": _INPUT,
         "delimiter": _DELIMITER,
@@ -706,7 +641,7 @@ COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
     "interval": (cmd_interval, "credible interval for failure counts", {
         "failed": Option(_REQUIRED, _integer),
         "inspected": Option(_REQUIRED, _integer),
-        "alpha": Option(0.05, float),
+        "alpha": Option(0.05, _probability),
         "prior": _PRIOR,
         "classical": Option(False, _flag, {
             "action": "store_true",
@@ -723,9 +658,9 @@ COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
         "weld_kind": Option(None, str),
         "min_inspected": Option(100, _at_least(0)),
         "prior": _PRIOR,
-        "iterations": Option(10_000, _integer),
-        "burn_in": Option(200, _integer),
-        "proposal_sd": Option(0.05, float),
+        "iterations": Option(10_000, _at_least(1)),
+        "burn_in": Option(200, _at_least(0)),
+        "proposal_sd": Option(0.05, _positive),
         "resamples": Option(None, _at_least(1), {
             "help": "estimate each A/B cell from N resamples (default: exact over all draw pairs)",
         }),
@@ -747,7 +682,7 @@ COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
     }),
     "forecast": (cmd_forecast, "Monte Carlo project nonconformance forecast", {
         "design": Option(_REQUIRED, str, {"help": "JSON project design file"}),
-        "iterations": Option(forecast.DEFAULT_ITERATIONS, _integer),
+        "iterations": Option(forecast.DEFAULT_ITERATIONS, _at_least(1)),
         "seed": _SEED,
         "mode": Option("average", _choice("average", "mixture")),
         "prior": _PRIOR,
@@ -756,7 +691,7 @@ COMMANDS: dict[str, tuple[Callable[[dict], int], str, dict[str, Option]]] = {
     "rework": (cmd_rework, "rework man-hour estimate and control chart", {
         "specs": Option(_REQUIRED, str, {"help": "JSON product specs file"}),
         "actuals": Option(None, str, {"help": "JSON actual hours/results file"}),
-        "iterations": Option(rework.DEFAULT_ITERATIONS, _integer),
+        "iterations": Option(rework.DEFAULT_ITERATIONS, _at_least(1)),
         "seed": _SEED,
         "prior": _PRIOR,
         "update_posteriors": Option(False, _flag, {
@@ -790,10 +725,27 @@ def main(argv: list[str] | None = None) -> int:
     handler, _, options = COMMANDS[args.command]
     try:
         file_config = _read_json(args.config, "config", ConfigError) if args.config else {}
-        return handler(_resolve(args, options, file_config))
+        resolved = _resolve(args, options, file_config)
+        artifacts, message = handler(resolved)
+        out = Path(resolved["out_dir"] or os.environ.get(OUT_DIR_ENV) or ".")
+        info = report.meta(args.command, resolved, seed=resolved.get("seed"))
+        for name, payload in artifacts:
+            path = out / name
+            try:
+                # looked up on `report` at each call, so a wrapped writer sees every write
+                if path.suffix == ".csv":
+                    report.write_table(path, *payload, info)
+                elif path.suffix == ".json":
+                    report.write_json(path, payload, info)
+                else:
+                    report.write_svg(path, payload, info)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     except WeldQCError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 4)
+    print(message.format(out=out))
+    return 0
 
 
 if __name__ == "__main__":

@@ -379,6 +379,27 @@ class TestConfigAndEnv:
         main(["interval", "--failed", "1", "--inspected", "10"])
         assert (tmp_path / "envout" / "interval.json").exists()
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken / "sub" if under else taken
+        argv = ["interval", "--failed", "1", "--inspected", "10", "--out-dir", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out / 'interval.json'}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert taken.read_text() == "keep"
+
+    def test_artifact_name_taken_by_a_directory(self, tmp_path, capsys):
+        (tmp_path / "interval.json").mkdir()
+        argv = ["interval", "--failed", "1", "--inspected", "10", "--out-dir", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / 'interval.json'}: ")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["interval.json"]
+
 
 def _json_bytes(document) -> bytes:
     return json.dumps(document).encode()
@@ -590,6 +611,72 @@ MALFORMED_INPUTS = {
         {"specs.json": _SPECS, "actuals.json": _json_bytes({"hours": [0.0], "results": [0.9]})},
         ["rework", "--specs", "specs.json", "--actuals", "actuals.json"], 2, "actuals",
     ),
+    "specs-efficiency-zero": (
+        {"specs.json": _json_bytes({"products": [{**_PRODUCT, "efficiency": 0}]})},
+        ["rework", "--specs", "specs.json"], 2, "product #1",
+    ),
+    "counts-total-negative": (
+        {"counts.csv": b"label,inspected,repaired,total\na,10,1,-3\n"},
+        ["complexity", "--counts", "counts.csv"], 2, "counts row 1",
+    ),
+    "counts-total-below-inspected": (
+        {"counts.csv": b"label,inspected,repaired,total\na,10,1,10\nb,20,4,19\n"},
+        ["complexity", "--counts", "counts.csv"], 2, "counts row 2",
+    ),
+    "design-weld-count-zero": (
+        {"design.json": _json_bytes({
+            "types": {"t1": {"failed": 1, "inspected": 10}},
+            "welds": [{"key": "t1", "count": 2}, {"key": "t1", "count": 0}],
+        })},
+        ["forecast", "--design", "design.json"], 2, "weld #2",
+    ),
+    "flag-iterations-zero": (
+        {"design.json": _DESIGN}, ["forecast", "--design", "design.json", "--iterations", "0"], 3,
+        "iterations",
+    ),
+    "config-iterations-zero": (
+        {"specs.json": _SPECS, "config.json": _json_bytes({"iterations": 0})},
+        ["rework", "--specs", "specs.json", "--config", "config.json"], 3, "iterations",
+    ),
+    "flag-operators-iterations-zero": (
+        {"export.csv": _EXPORT.encode()},
+        ["operators", "--input", "export.csv", "--min-inspected", "1", "--iterations", "0"], 3,
+        "iterations",
+    ),
+    "flag-burn-in-negative": (
+        {"export.csv": _EXPORT.encode()},
+        ["operators", "--input", "export.csv", "--min-inspected", "1", "--burn-in", "-1"], 3,
+        "burn_in",
+    ),
+    "config-burn-in-negative": (
+        {"export.csv": _EXPORT.encode(), "config.json": _json_bytes({"burn_in": -5})},
+        ["operators", "--input", "export.csv", "--min-inspected", "1", "--config", "config.json"],
+        3, "burn_in",
+    ),
+    "flag-alpha-nan": (
+        {}, ["interval", "--failed", "1", "--inspected", "10", "--alpha", "nan"], 3, "alpha",
+    ),
+    "config-alpha-one": (
+        {"config.json": _json_bytes({"alpha": 1})},
+        ["interval", "--failed", "1", "--inspected", "10", "--config", "config.json"], 3, "alpha",
+    ),
+    "flag-prior-zero": (
+        {}, ["interval", "--failed", "1", "--inspected", "10", "--prior", "0", "1"], 3, "prior",
+    ),
+    "config-prior-infinite": (
+        {"design.json": _DESIGN, "config.json": _json_bytes({"prior": [1, float("inf")]})},
+        ["forecast", "--design", "design.json", "--config", "config.json"], 3, "prior",
+    ),
+    "flag-proposal-sd-negative": (
+        {"export.csv": _EXPORT.encode()},
+        ["operators", "--input", "export.csv", "--min-inspected", "1", "--proposal-sd", "-1"], 3,
+        "proposal_sd",
+    ),
+    "config-proposal-sd-nan": (
+        {"export.csv": _EXPORT.encode(), "config.json": _json_bytes({"proposal_sd": float("nan")})},
+        ["operators", "--input", "export.csv", "--min-inspected", "1", "--config", "config.json"],
+        3, "proposal_sd",
+    ),
 }
 
 
@@ -606,6 +693,52 @@ def test_malformed_input_maps_to_exit_code(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert needle in err
     assert not out.exists() or not any(out.iterdir())
+
+
+# argv of a run of each command (file names stand for their paths) and the
+# sorted names of every file it writes to --out-dir
+WRITTEN_FILES = {
+    "summarize": (
+        ["summarize", "--input", "export.csv"],
+        ["rejections.json", "summary.csv", "summary.json"],
+    ),
+    "interval": (["interval", "--failed", "1", "--inspected", "10"], ["interval.json"]),
+    "operators": (
+        ["operators", "--input", "export.csv", "--min-inspected", "1", "--iterations", "300"],
+        ["ab_matrix.csv", "operators.csv", "operators_boxplot.svg"],
+    ),
+    "complexity": (
+        ["complexity", "--counts", "counts.csv"],
+        ["clusters.csv", "complexity_scores.csv", "dendrogram.json", "dendrogram.svg",
+         "hellinger_matrix.csv"],
+    ),
+    "forecast": (
+        ["forecast", "--design", "design.json", "--iterations", "100"],
+        ["forecast.json", "forecast_histogram.svg", "forecast_quantiles.csv"],
+    ),
+    "rework": (
+        ["rework", "--specs", "specs.json", "--iterations", "100"],
+        ["control_chart.csv", "control_chart.json", "control_chart.svg", "rework.json",
+         "rework_quantiles.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_written_files_are_pinned_and_reproducible(command, tmp_path):
+    inputs = {"export.csv": _EXPORT.encode(), "counts.csv": _COUNTS,
+              "design.json": _DESIGN, "specs.json": _SPECS}
+    for name, content in inputs.items():
+        (tmp_path / name).write_bytes(content)
+    argv, expected = WRITTEN_FILES[command]
+    out = tmp_path / "out"
+    argv = [str(tmp_path / arg) if arg in inputs else arg for arg in argv]
+    runs = []
+    for _ in range(2):
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(runs[0]) == expected
+    assert runs[1] == runs[0]
 
 
 # a value other than the default for every option: (flag arguments, config value)
@@ -650,7 +783,7 @@ def _echoed_config(monkeypatch, argv):
 
     def capture(resolved):
         echoed.append(report.meta(argv[0], resolved, seed=None)["config"])
-        return 0
+        return [], ""
 
     monkeypatch.setitem(COMMANDS, argv[0], (capture, help_text, options))
     assert main(argv) == 0
