@@ -302,6 +302,9 @@ def cmd_interval(resolved: dict) -> tuple[Artifacts, str]:
 
 
 def cmd_operators(resolved: dict) -> tuple[Artifacts, str]:
+    burn_in, iterations = resolved["burn_in"], resolved["iterations"]
+    if burn_in >= iterations:
+        raise ConfigError(f"burn_in ({burn_in}) must be below iterations ({iterations})")
     summaries, _ = _load_summaries(resolved)
     key_filter = {
         f: resolved[f]
@@ -320,8 +323,8 @@ def cmd_operators(resolved: dict) -> tuple[Artifacts, str]:
     for index, summary in enumerate(selected):
         counts = CountData(summary.repaired_welds, summary.inspected_welds)
         config = mcmc.ChainConfig(
-            iterations=resolved["iterations"],
-            burn_in=resolved["burn_in"],
+            iterations=iterations,
+            burn_in=burn_in,
             proposal_sd=resolved["proposal_sd"],
             seed=derive_seed(seed, index),
         )
@@ -478,19 +481,22 @@ def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
     document = _read_json(path, "design", SchemaError)
     if not isinstance(document.get("welds"), list):
         raise SchemaError("design file needs a 'welds' list")
-    type_counts: dict[str, CountData] = {}
+    # one posterior per key, so inline counts must agree with any seen before
+    seen: dict[str, CountData] = {}
     with _fields("design 'types'"):
         for key, spec in (document.get("types") or {}).items():
             with _fields(f"design type {key!r}"):
-                type_counts[key] = CountData(_integer(spec["failed"]), _integer(spec["inspected"]))
-    entries = []
-    posteriors = {}
-    # one posterior per key, so inline counts must agree with any seen before
-    seen = dict(type_counts)
+                seen[key] = CountData(_integer(spec["failed"]), _integer(spec["inspected"]))
+    # weld count by key, in order of first appearance
+    welds: dict[str, int] = {}
+    n_welds = 0
     for number, weld in enumerate(document["welds"], start=1):
         with _fields(f"design weld #{number}"):
-            key = str(weld.get("key", f"type-{len(entries) + 1}"))
+            key = str(weld.get("key", f"type-{number}"))
             count = _at_least(1)(weld.get("count", 1))
+            n_welds += count
+            if n_welds >= 2**63:  # the bound of numpy's `integers`, which picks mixture welds
+                raise ValueError("the design's weld count must stay below 2**63")
             if "failed" in weld and "inspected" in weld:
                 counts = CountData(_integer(weld["failed"]), _integer(weld["inspected"]))
                 earlier = seen.setdefault(key, counts)
@@ -500,15 +506,12 @@ def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
                         f"of {counts.inspected}, but {earlier.failed} of "
                         f"{earlier.inspected} were given before"
                     )
-            elif key in seen:
-                counts = seen[key]
-            else:
-                raise SchemaError(
-                    f"design weld #{number} references unresolved weld type {key!r}"
-                )
-        entries.append((key, count))
-        posteriors[key] = posterior(counts, prior)
-    return forecast.ProjectDesign.from_type_counts(entries, posteriors)
+            elif key not in seen:
+                raise SchemaError(f"design weld #{number} references unresolved weld type {key!r}")
+        welds[key] = welds.get(key, 0) + count
+    return forecast.ProjectDesign(
+        tuple((key, posterior(seen[key], prior), count) for key, count in welds.items())
+    )
 
 
 def cmd_forecast(resolved: dict) -> tuple[Artifacts, str]:

@@ -1,16 +1,17 @@
 """Monte Carlo forecast of project-level fraction nonconforming.
 
-A project design lists every weld with the posterior of its type.  Each
-iteration draws one failure probability per weld and records the project
-value (1/n) * sum(p_i).  A pure mixture mode (draw one weld's posterior per
-iteration) is available for comparison; the averaging mode is the default
-and is what produces the narrow project-level histograms seen in practice.
+A project design lists each weld type once, with its posterior and weld count.
+Each iteration draws one failure probability per weld and records the project
+value (1/n) * sum(p_i); a type draws its welds one after another from its own
+substream, at most _BLOCK_DRAWS values per call, so memory does not grow with
+the weld count.  The mixture mode (draw one weld's posterior per iteration) is
+for comparison; the averaging default gives the narrow project-level histograms
+seen in practice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,41 +21,27 @@ from .streams import substream
 
 DEFAULT_ITERATIONS = 100
 QUANTILE_STEP = 0.10
+#: most Beta values one draw call makes in the averaging mode
+_BLOCK_DRAWS = 65_536
 
 
 @dataclass(frozen=True)
 class ProjectDesign:
-    """One entry per weld: (type key, posterior of that type)."""
+    """One entry per weld type: (type key, posterior of that type, weld count)."""
 
-    welds: tuple[tuple[str, BetaParams], ...]
+    types: tuple[tuple[str, BetaParams, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.welds:
-            raise ConfigError("a project design needs at least one weld")
+        if not self.types or min(count for _, _, count in self.types) < 1:
+            raise ConfigError("a project design needs at least one weld type, each of count >= 1")
 
     @property
     def n_welds(self) -> int:
-        return len(self.welds)
+        return sum(count for _, _, count in self.types)
 
     @property
     def n_types(self) -> int:
-        return len({key for key, _ in self.welds})
-
-    @classmethod
-    def from_type_counts(
-        cls,
-        counts_by_type: Sequence[tuple[str, int]],
-        posteriors: Mapping[str, BetaParams],
-    ) -> "ProjectDesign":
-        """Expand (type, weld count) pairs against a posterior lookup."""
-        welds: list[tuple[str, BetaParams]] = []
-        for key, count in counts_by_type:
-            if count < 1:
-                raise ConfigError(f"weld count for type {key!r} must be >= 1, got {count}")
-            if key not in posteriors:
-                raise ConfigError(f"no posterior available for weld type {key!r}")
-            welds.extend([(key, posteriors[key])] * count)
-        return cls(tuple(welds))
+        return len(self.types)
 
 
 @dataclass(frozen=True)
@@ -76,37 +63,39 @@ def simulate_project(
 ) -> ForecastResult:
     """Simulate the project fraction nonconforming.
 
-    Each weld draws from its own substream (seed, weld index), so the result
-    is reproducible and a reordered weld list changes individual samples but
-    not the sampled distribution.
+    Averaging draws each type from its substream (seed, type index), so the
+    block size does not change the values and a reordered type list keeps the
+    sampled distribution.  Mixture maps one uniform weld pick per iteration
+    through the cumulative counts and draws all its values in one call.
     """
     if iterations < 1:
         raise DomainError(f"need at least one iteration, got {iterations}")
     if mode not in ("average", "mixture"):
         raise ConfigError(f"mode must be 'average' or 'mixture', got {mode!r}")
-    n = design.n_welds
     if mode == "average":
+        span = min(iterations, _BLOCK_DRAWS)
+        width = _BLOCK_DRAWS // span
         total = np.zeros(iterations)
-        for index, (_, params) in enumerate(design.welds):
+        for index, (_, params, count) in enumerate(design.types):
             rng = substream(seed, index)
-            total += rng.beta(params.a, params.b, iterations)
-        samples = total / n
+            for start in range(0, count, width):
+                for low in range(0, iterations, span):
+                    shape = (min(width, count - start), min(span, iterations - low))
+                    total[low:low + span] += rng.beta(params.a, params.b, shape).sum(axis=0)
+        samples = total / design.n_welds
     else:
         rng = substream(seed)
-        choices = rng.integers(0, n, iterations)
-        samples = np.array(
-            [rng.beta(design.welds[c][1].a, design.welds[c][1].b) for c in choices]
-        )
+        welds = rng.integers(0, design.n_welds, iterations)
+        ends = np.cumsum([count for _, _, count in design.types])
+        types = np.searchsorted(ends, welds, side="right")
+        shapes = np.array([(params.a, params.b) for _, params, _ in design.types])[types]
+        samples = rng.beta(shapes[:, 0], shapes[:, 1])
     return ForecastResult(samples=samples, seed=seed, iterations=iterations, mode=mode)
 
 
 def quantile_table(result_or_samples) -> list[tuple[float, float]]:
     """Empirical quantiles on the 0%..100% grid of QUANTILE_STEP; nondecreasing."""
-    samples = (
-        result_or_samples.samples
-        if isinstance(result_or_samples, ForecastResult)
-        else np.asarray(result_or_samples, dtype=float)
-    )
+    samples = np.asarray(getattr(result_or_samples, "samples", result_or_samples), dtype=float)
     if samples.size == 0:
         raise DomainError("no samples to summarize")
     levels = np.arange(0.0, 1.0 + QUANTILE_STEP / 2.0, QUANTILE_STEP)

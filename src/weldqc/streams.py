@@ -1,7 +1,7 @@
 """Deterministic random-stream derivation.
 
 Every stochastic operation takes one user-facing seed; internal parallelism
-(multiple chains, matrix cells, per-weld draws) uses substreams derived from
+(multiple chains, matrix cells, per-type forecast draws) uses substreams derived from
 (seed, index path) so results are reproducible and independent of evaluation
 order.  The path is the SeedSequence spawn key (numpy's child-stream
 scheme), not part of the entropy, whose trailing zero words SeedSequence

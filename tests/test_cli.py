@@ -295,10 +295,32 @@ class TestForecast:
             bodies.append(read_meta_and_rows(out / "forecast_quantiles.csv")[1])
         assert bodies[0] == bodies[1] == bodies[2]
 
-    def test_unresolved_type(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["average", "mixture"])
+    def test_key_listed_twice_is_one_type(self, tmp_path, mode):
+        types = {"a": {"failed": 10, "inspected": 100}}
+        designs = {
+            "split": [{"key": "a", "count": 2}, {"key": "a", "count": 3}],
+            "whole": [{"key": "a", "count": 5}],
+        }
+        runs = {}
+        for name, welds in designs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"types": types, "welds": welds}))
+            out = tmp_path / name
+            assert main([
+                "forecast", "--design", str(path), "--iterations", "200", "--mode", mode,
+                "--seed", "3", "--out-dir", str(out),
+            ]) == 0
+            payload = json.loads((out / "forecast.json").read_text())
+            runs[name] = read_meta_and_rows(out / "forecast_quantiles.csv")[1], payload
+        assert runs["split"][0] == runs["whole"][0]
+        assert (runs["split"][1]["n_types"], runs["split"][1]["n_welds"]) == (1, 5)
+
+    def test_unresolved_type(self, tmp_path, capsys):
         path = tmp_path / "bad_design.json"
         path.write_text(json.dumps({"welds": [{"key": "ghost", "count": 2}]}))
         assert main(["forecast", "--design", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "'ghost'" in capsys.readouterr().err
 
 
 class TestRework:
@@ -629,6 +651,38 @@ MALFORMED_INPUTS = {
             "welds": [{"key": "t1", "count": 2}, {"key": "t1", "count": 0}],
         })},
         ["forecast", "--design", "design.json"], 2, "weld #2",
+    ),
+    "design-weld-count-huge-float": (
+        {"design.json": _json_bytes({
+            "types": {"t1": {"failed": 1, "inspected": 10}},
+            "welds": [{"key": "t1", "count": 1e300}],
+        })},
+        ["forecast", "--design", "design.json"], 2, "weld #1",
+    ),
+    "design-weld-count-2-pow-63": (
+        {"design.json": _json_bytes({
+            "types": {"t1": {"failed": 1, "inspected": 10}},
+            "welds": [{"key": "t1", "count": 2**63}],
+        })},
+        ["forecast", "--design", "design.json"], 2, "weld #1",
+    ),
+    "design-weld-count-total-2-pow-63": (
+        {"design.json": _json_bytes({
+            "types": {"t1": {"failed": 1, "inspected": 10}, "t2": {"failed": 2, "inspected": 10}},
+            "welds": [{"key": "t1", "count": 2**62}, {"key": "t2", "count": 2**62}],
+        })},
+        ["forecast", "--design", "design.json", "--mode", "mixture"], 2, "weld #2",
+    ),
+    # no input file is written: the check comes before any file is read
+    "flag-burn-in-not-below-iterations": (
+        {}, ["operators", "--input", "export.csv", "--iterations", "100", "--burn-in", "100"], 3,
+        "burn_in (100) must be below iterations (100)",
+    ),
+    "config-burn-in-not-below-iterations": (
+        {"export.csv": _EXPORT.encode(),
+         "config.json": _json_bytes({"iterations": 50, "burn_in": 80})},
+        ["operators", "--input", "export.csv", "--min-inspected", "1", "--config", "config.json"],
+        3, "burn_in (80) must be below iterations (50)",
     ),
     "flag-iterations-zero": (
         {"design.json": _DESIGN}, ["forecast", "--design", "design.json", "--iterations", "0"], 3,
