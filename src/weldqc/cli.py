@@ -10,8 +10,9 @@ seed that is echoed into each output file.
 Handlers compute and render everything and touch no file: each returns its
 artifacts as (file name, payload) pairs, and its stdout line with `{out}` for
 the output directory.  `main` is the only writer: one report header, then each
-artifact by the writer its suffix names (.csv takes (header, rows), .json a
-mapping, .svg the text).
+artifact by the writer its suffix names (.csv takes (header, rows), where rows
+may be any iterable, .json a mapping, .svg the text).  An artifact name taken
+by a directory stops the run before any artifact is written.
 
 Exit codes: 0 success, 2 input/schema error, 3 configuration error,
 4 numeric/domain error.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -352,10 +354,12 @@ def cmd_operators(resolved: dict) -> tuple[Artifacts, str]:
         + [five.whisker_low, five.q1, five.median, five.q3, five.whisker_high]
         for summary, _, five in ranked
     ]
-    matrix_rows = [[ids[i]] + [matrix[i, j] for j in range(len(ids))] for i in range(len(ids))]
     return [
         ("operators.csv", (header, rows)),
-        ("ab_matrix.csv", (["operator_id"] + ids, matrix_rows)),
+        ("ab_matrix.csv", (
+            ["operator_id"] + ids,
+            ([ident] + values.tolist() for ident, values in zip(ids, matrix)),
+        )),
         ("operators_boxplot.svg", render.boxplot_svg(ids, [five for _, _, five in ranked])),
     ], f"ranked {len(ranked)} operators; outputs in {{out}}"
 
@@ -457,7 +461,7 @@ def cmd_complexity(resolved: dict) -> tuple[Artifacts, str]:
         )),
         ("hellinger_matrix.csv", (
             ["label"] + labels,
-            [[labels[i]] + list(matrix.values[i]) for i in range(len(labels))],
+            ([label] + values.tolist() for label, values in zip(labels, matrix.values)),
         )),
         ("dendrogram.json", complexity.tree_to_dict(tree)),
         ("clusters.csv", (
@@ -732,6 +736,9 @@ def main(argv: list[str] | None = None) -> int:
         artifacts, message = handler(resolved)
         out = Path(resolved["out_dir"] or os.environ.get(OUT_DIR_ENV) or ".")
         info = report.meta(args.command, resolved, seed=resolved.get("seed"))
+        for name, _ in artifacts:
+            if (out / name).is_dir():
+                raise ConfigError(f"cannot write {out / name}: {os.strerror(errno.EISDIR)}")
         for name, payload in artifacts:
             path = out / name
             try:

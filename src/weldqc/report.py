@@ -8,24 +8,46 @@ reproduces each file byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 
 DECIMALS = 6
 
 
+#: bool and None cells are written as their JSON text, not as Python spells them
+_WORDS = {True: "true", False: "false", None: "null"}
+
+
+@functools.lru_cache(maxsize=256)
+def _template(kinds: tuple[type, ...]) -> tuple[str, tuple[int, ...]]:
+    """The `%` template of a row of cells of these types, and where its words go.
+
+    A float (or subclass, such as numpy's float64) takes six decimals; a bool
+    or None is replaced by its word from _WORDS; anything else is its `str`.
+    """
+    specs = (f"%.{DECIMALS}f" if issubclass(kind, float) else "%s" for kind in kinds)
+    words = tuple(i for i, kind in enumerate(kinds) if kind is bool or kind is type(None))
+    return ",".join(specs), words
+
+
+def _format_row(row: Iterable) -> str:
+    """A row's cells in canonical text form, comma-separated, in one `%` call."""
+    cells = tuple(row)
+    template, words = _template(tuple(map(type, cells)))
+    if words:
+        cells = tuple(_WORDS[c] if i in words else c for i, c in enumerate(cells))
+    return template % cells
+
+
 def fmt(value) -> str:
-    """Canonical text form: floats at six decimals, everything else as str."""
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, float):
-        return f"{value:.{DECIMALS}f}"
-    return str(value)
+    """Canonical text form of one cell: the one-cell row of `_format_row`."""
+    return _format_row((value,))
 
 
 def round_floats(obj):
@@ -83,13 +105,13 @@ def write_text(path: Path, text: str) -> None:
 def write_table(
     path: Path,
     header: Sequence[str],
-    rows: Sequence[Sequence],
+    rows: Iterable[Iterable],
     info: Mapping,
 ) -> None:
+    """Meta comment lines, the header, then one line per row of any iterable."""
     lines = _meta_comment_lines(info)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(cell) for cell in row))
+    lines.extend(map(_format_row, rows))
     write_text(path, "\n".join(lines) + "\n")
 
 

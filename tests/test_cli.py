@@ -422,6 +422,21 @@ class TestConfigAndEnv:
         assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["interval.json"]
 
+    def test_later_artifact_taken_by_a_directory_writes_nothing(
+        self, records_csv, tmp_path, capsys
+    ):
+        # summary.csv comes before summary.json, so a writer that stops at
+        # the failing name would already have written it
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        argv = ["summarize", "--input", str(records_csv), "--out-dir", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out / 'summary.json'}: Is a directory\n"
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+        assert list((out / "summary.json").iterdir()) == []
+
 
 def _json_bytes(document) -> bytes:
     return json.dumps(document).encode()

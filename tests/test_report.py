@@ -4,11 +4,43 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weldqc import report
 from weldqc.errors import ConfigError
 from weldqc.render import boxplot_svg, control_chart_svg, dendrogram_svg, histogram_svg
 from weldqc.streams import check_seed, derive_seed, substream
+
+
+def _cell_text(value) -> str:
+    """The text a cell is written as: JSON words, six-decimal floats, else str."""
+    if isinstance(value, bool) or value is None:
+        return json.dumps(value)
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, -1e300]),
+    # values whose seventh decimal decides the rounding of the sixth
+    st.integers(-10**9, 10**9).map(lambda n: n / 10**6 + 5e-7),
+    st.integers(-10**9, 10**9).map(lambda n: n / 10**7),
+)
+_CELL = st.one_of(
+    st.text(st.characters(exclude_characters="\n\r"), max_size=8),
+    st.integers(),
+    _FLOATS,
+    st.booleans(),
+    st.none(),
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_ROW = st.lists(_CELL, max_size=8)
 
 
 class TestFormatting:
@@ -18,6 +50,23 @@ class TestFormatting:
         assert report.fmt(12) == "12"
         assert report.fmt("label") == "label"
         assert report.fmt(None) == "null"
+        assert report.fmt(True) == "true"
+        # only float subclasses take six decimals; numpy's bool is not a bool
+        assert report.fmt(np.float64(1 / 3)) == "0.333333"
+        assert report.fmt(np.float32(0.5)) == "0.5"
+        assert report.fmt(np.int64(7)) == "7"
+        assert report.fmt(np.bool_(True)) == "True"
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(_ROW, max_size=6), as_generator=st.booleans())
+    def test_written_rows_match_per_cell_text(self, tmp_path_factory, rows, as_generator):
+        path = tmp_path_factory.mktemp("rows") / "t.csv"
+        info = report.meta("demo", {}, seed=None)
+        given_rows = (iter(row) for row in rows) if as_generator else rows
+        report.write_table(path, ["h"], given_rows, info)
+        lines = path.read_bytes().decode().split("\n")
+        assert lines[5:] == [",".join(map(report.fmt, row)) for row in rows] + [""]
+        assert lines[5:-1] == [",".join(map(_cell_text, row)) for row in rows]
 
     def test_round_floats_recurses(self):
         payload = {"a": 0.1234567891, "b": [1.00000049, {"c": 2.5}], "d": "x"}
