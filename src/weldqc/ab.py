@@ -6,7 +6,10 @@ stored post-burn-in draws; its diagonal is fixed at 0.50 by convention.
 `exact_matrix` counts every pair of draws: over all pairs the probability is
 the Mann-Whitney U statistic divided by n_i * n_j (Mann & Whitney 1947), so
 off the diagonal M[i][j] + M[j][i] - 1 is exactly the mass of tied pairs.
-This is the default of the `operators` command.
+A Metropolis chain repeats its value after every rejected proposal, so each
+chain is first reduced to its distinct draws, each weighted by how often it
+occurs: one sort of the distinct draws serves every cell, and the cost is
+O(chains x distinct draws).  This is the default of the `operators` command.
 
 `prob_greater` and `pairwise_matrix` are the paper's estimator: they draw n
 paired resamples with replacement from the two draw lists and count how
@@ -72,8 +75,11 @@ def pairwise_matrix(chains, n: int = DEFAULT_RESAMPLES, seed: int = 0) -> np.nda
 def exact_matrix(chains) -> np.ndarray:
     """Matrix with entry (i, j) = #{(x, y): x in i, y in j, x >= y} / (n_i n_j).
 
-    The diagonal is fixed at 0.50.  One sort of all draws serves every cell,
-    and memory stays linear in the total number of draws.
+    The diagonal is fixed at 0.50.  Each chain counts each distinct draw once,
+    weighted by its multiplicity, so one sort of the distinct draws serves
+    every cell: time is O(chains x distinct draws) and memory is linear in
+    the distinct draws.  Counts are exact integers, and a NaN draw, which has
+    no order, is a DomainError.
     """
     values = [_draw_values(c) for c in chains]
     if not values:
@@ -81,18 +87,31 @@ def exact_matrix(chains) -> np.ndarray:
     sizes = np.array([len(v) for v in values])
     if not sizes.all():
         raise DomainError(f"every chain needs at least one draw, got sizes {sizes.tolist()}")
+    distinct = [np.unique(v, return_counts=True) for v in values]
+    for index, (unique, _) in enumerate(distinct):
+        if np.isnan(unique[-1]):  # np.unique sorts NaN last
+            raise DomainError(f"chain {index} has a NaN draw")
+    points = np.concatenate([p for p, _ in distinct])
+    weights = np.concatenate([w for _, w in distinct])
+    bounds = np.cumsum([0] + [len(p) for p, _ in distinct])  # chain j is bounds[j]:bounds[j + 1]
+    order = np.argsort(points)
+    ranked = points[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # for each point, chain by chain: the sorted position of the last point no
+    # larger than it, ties included
+    last = (np.searchsorted(ranked, ranked, side="right") - 1)[rank]
     size = len(values)
-    draws = np.concatenate(values)
-    owner = np.repeat(np.arange(size), sizes)
-    order = np.lexsort((owner, draws))
-    draws, owner = draws[order], owner[order]
-    # position of the last draw no larger than each draw, ties included
-    last = np.searchsorted(draws, draws, side="right") - 1
-    counts = np.empty((size, size))
+    counts = np.empty((size, size), dtype=np.int64)
+    running = np.empty(len(points), dtype=np.int64)
     for j in range(size):
-        # draws of chain j no larger than each draw, summed by the draw's chain
-        at_most = np.cumsum(owner == j)[last]
-        counts[:, j] = np.bincount(owner, weights=at_most, minlength=size)
+        # draws of chain j up to each sorted position
+        running.fill(0)
+        running[rank[bounds[j]:bounds[j + 1]]] = weights[bounds[j]:bounds[j + 1]]
+        np.cumsum(running, out=running)
+        # draws of chain j no larger than each point, times the point's own
+        # multiplicity, summed by the point's chain
+        counts[:, j] = np.add.reduceat(running[last] * weights, bounds[:-1])
     matrix = counts / np.outer(sizes, sizes)
     np.fill_diagonal(matrix, 0.5)
     return matrix

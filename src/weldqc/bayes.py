@@ -14,18 +14,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import special
 from .errors import DomainError
 
 
+def _check_integer(name: str, value) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CountData:
-    """Inspection counts: `failed` failures out of `inspected` items."""
+    """Inspection counts: `failed` failures out of `inspected` items, both integers."""
 
     failed: int
     inspected: int
 
     def __post_init__(self) -> None:
+        _check_integer("failed", self.failed)
+        _check_integer("inspected", self.inspected)
         if not (0 <= self.failed <= self.inspected):
             raise DomainError(
                 f"counts must satisfy 0 <= failed <= inspected, got "

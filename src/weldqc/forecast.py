@@ -20,6 +20,9 @@ from .errors import ConfigError, DomainError
 from .streams import substream
 
 DEFAULT_ITERATIONS = 100
+#: most Beta values (iterations x welds) the averaging mode may draw: about a
+#: minute at the 13.7 million draws per second measured on a 2-vCPU Xeon host
+MAX_DRAWS = 800_000_000
 QUANTILE_STEP = 0.10
 #: most Beta values one draw call makes in the averaging mode
 _BLOCK_DRAWS = 65_536
@@ -65,14 +68,21 @@ def simulate_project(
 
     Averaging draws each type from its substream (seed, type index), so the
     block size does not change the values and a reordered type list keeps the
-    sampled distribution.  Mixture maps one uniform weld pick per iteration
-    through the cumulative counts and draws all its values in one call.
+    sampled distribution.  It makes iterations x n_welds draws, and a run of
+    more than MAX_DRAWS is refused before the first.  Mixture maps one uniform
+    weld pick per iteration through the cumulative counts and draws all its
+    values in one call.
     """
     if iterations < 1:
         raise DomainError(f"need at least one iteration, got {iterations}")
     if mode not in ("average", "mixture"):
         raise ConfigError(f"mode must be 'average' or 'mixture', got {mode!r}")
     if mode == "average":
+        if int(iterations) * design.n_welds > MAX_DRAWS:
+            raise ConfigError(
+                f"{iterations} iterations x {design.n_welds} welds is more than the "
+                f"{MAX_DRAWS} Beta draws a forecast may make"
+            )
         span = min(iterations, _BLOCK_DRAWS)
         width = _BLOCK_DRAWS // span
         total = np.zeros(iterations)

@@ -19,15 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import JEFFREYS, BetaParams, CountData, CredibleInterval
+from .bayes import JEFFREYS, BetaParams, CountData, CredibleInterval, _check_integer
 from .errors import DomainError
 from .streams import check_seed, derive_seed, substream
-
-
-def _check_integer(name: str, value) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Every file starts with (or embeds, for JSON/SVG) the command name, the fully
 resolved configuration, the seed, and the library version.  Numeric text is
 fixed at six decimal places, so re-running the recorded configuration
-reproduces each file byte for byte.
+reproduces each file byte for byte.  A text cell that holds a comma, a double
+quote or a line break is quoted as RFC 4180 does, so every table reads back
+with a CSV reader.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -22,26 +25,40 @@ DECIMALS = 6
 
 #: bool and None cells are written as their JSON text, not as Python spells them
 _WORDS = {True: "true", False: "false", None: "null"}
+#: a text cell holding one of these is quoted
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 @functools.lru_cache(maxsize=256)
-def _template(kinds: tuple[type, ...]) -> tuple[str, tuple[int, ...]]:
-    """The `%` template of a row of cells of these types, and where its words go.
+def _template(kinds: tuple[type, ...]) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """The `%` template of a row of cells of these types, where its words go
+    and where its text cells are.
 
     A float (or subclass, such as numpy's float64) takes six decimals; a bool
     or None is replaced by its word from _WORDS; anything else is its `str`.
     """
     specs = (f"%.{DECIMALS}f" if issubclass(kind, float) else "%s" for kind in kinds)
     words = tuple(i for i, kind in enumerate(kinds) if kind is bool or kind is type(None))
-    return ",".join(specs), words
+    texts = tuple(i for i, kind in enumerate(kinds) if issubclass(kind, str))
+    return ",".join(specs), words, texts
+
+
+def _quote(text: str) -> str:
+    """The cell as RFC 4180 writes it: quoted, inner quotes doubled, if it must be."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _format_row(row: Iterable) -> str:
     """A row's cells in canonical text form, comma-separated, in one `%` call."""
     cells = tuple(row)
-    template, words = _template(tuple(map(type, cells)))
-    if words:
-        cells = tuple(_WORDS[c] if i in words else c for i, c in enumerate(cells))
+    template, words, texts = _template(tuple(map(type, cells)))
+    if words or any(_NEEDS_QUOTES.search(cells[i]) for i in texts):
+        cells = tuple(
+            _WORDS[c] if i in words else _quote(c) if i in texts else c
+            for i, c in enumerate(cells)
+        )
     return template % cells
 
 
@@ -110,7 +127,7 @@ def write_table(
 ) -> None:
     """Meta comment lines, the header, then one line per row of any iterable."""
     lines = _meta_comment_lines(info)
-    lines.append(",".join(header))
+    lines.append(_format_row(header))
     lines.extend(map(_format_row, rows))
     write_text(path, "\n".join(lines) + "\n")
 

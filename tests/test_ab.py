@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weldqc.ab import exact_matrix, pairwise_matrix, prob_greater
 from weldqc.bayes import JEFFREYS, CountData
 from weldqc.errors import DomainError
-from weldqc.mcmc import ChainConfig, empirical_five_number, sample_posterior
+from weldqc.mcmc import Chain, ChainConfig, empirical_five_number, sample_posterior
 
 from refdata import AB_OPERATOR_A, AB_OPERATOR_B, AB_PROB_A_GREATER
 
@@ -106,6 +108,21 @@ def _brute_force_matrix(chains):
     return matrix
 
 
+def _as_chain(values):
+    """A Chain whose post-burn-in draws are `values`; its NaN burn-in must be dropped."""
+    burn_in = 2
+    return Chain(
+        draws=np.concatenate([np.full(burn_in, np.nan), values]),
+        config=ChainConfig(iterations=len(values) + burn_in, burn_in=burn_in),
+        acceptance_rate=0.0,
+        counts=CountData(0, 0),
+        prior=JEFFREYS,
+    )
+
+
+_WRAPPERS = {"array": np.asarray, "list": list, "chain": _as_chain}
+
+
 @pytest.fixture()
 def tied_chains():
     # unequal lengths, values repeated within a chain and shared across chains
@@ -139,6 +156,25 @@ class TestExactMatrix:
 
     def test_single_chain(self):
         assert exact_matrix([chain_for(50, 5, seed=0)]).tolist() == [[0.5]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+        tied=st.booleans(),
+        wrappers=st.lists(st.sampled_from(sorted(_WRAPPERS)), min_size=8, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_brute_force(self, sizes, tied, wrappers, seed):
+        # a six-value grid gives ties within and across chains; uniforms give none
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(0.0, 0.1, 6)
+        draws = [rng.choice(grid, n) if tied else rng.random(n) for n in sizes]
+        chains = [_WRAPPERS[kind](d) for kind, d in zip(wrappers, draws)]
+        assert np.array_equal(exact_matrix(chains), _brute_force_matrix(draws))
+
+    def test_nan_draw_rejected(self):
+        with pytest.raises(DomainError, match="chain 1 has a NaN draw"):
+            exact_matrix([[0.1, 0.2], [0.3, np.nan, 0.3]])
 
     def test_empty_input_rejected(self):
         with pytest.raises(DomainError):

@@ -25,6 +25,15 @@ class TestTypes:
         with pytest.raises(DomainError):
             CountData(-1, 3)
 
+    @pytest.mark.parametrize("failed, inspected", [(1.5, 3), (True, 3), (1, 3.0), (1, "3")])
+    def test_counts_are_integers(self, failed, inspected):
+        with pytest.raises(DomainError, match="must be an integer"):
+            CountData(failed, inspected)
+
+    def test_numpy_integer_counts_accepted(self):
+        counts = CountData(np.int64(1), np.int32(3))
+        assert counts.sample_fraction == pytest.approx(1 / 3)
+
     def test_sample_fraction(self):
         assert CountData(10, 100).sample_fraction == 0.1
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -206,6 +207,25 @@ class TestComplexity:
         assert clusters[1].startswith("A,")
         assert "business_share" in clusters[0]
 
+    def test_labels_with_delimiters_read_back(self, tmp_path):
+        counts = tmp_path / "quoted.csv"
+        counts.write_text('label,inspected,repaired\n"a, b",100,10\n"say ""hi""",200,5\n')
+        out = tmp_path / "quoted"
+        assert main([
+            "complexity", "--counts", str(counts), "--clusters", "2", "--out-dir", str(out),
+        ]) == 0
+        tables = sorted(out.glob("*.csv"))
+        assert [t.name for t in tables] == [
+            "clusters.csv", "complexity_scores.csv", "hellinger_matrix.csv",
+        ]
+        cells = set()
+        for table in tables:
+            _, body = read_meta_and_rows(table)
+            header, *rows = csv.reader(body)
+            assert rows and all(len(row) == len(header) for row in rows), table.name
+            cells.update(header, *rows)
+        assert {"a, b", 'say "hi"'} <= cells
+
     def test_top_one_single_cluster(self, counts_csv, tmp_path):
         out = tmp_path / "one"
         main(["complexity", "--counts", str(counts_csv), "--top", "1", "--out-dir", str(out)])
@@ -315,6 +335,20 @@ class TestForecast:
             runs[name] = read_meta_and_rows(out / "forecast_quantiles.csv")[1], payload
         assert runs["split"][0] == runs["whole"][0]
         assert (runs["split"][1]["n_types"], runs["split"][1]["n_welds"]) == (1, 5)
+
+    def test_draw_budget_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "types": {"t1": {"failed": 10, "inspected": 100}},
+            "welds": [{"key": "t1", "count": 1_000_000_000}],
+        }))
+        out = tmp_path / "huge"
+        assert main([
+            "forecast", "--design", str(path), "--iterations", "1", "--out-dir", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1 iterations x 1000000000 welds" in err
+        assert not out.exists()
 
     def test_unresolved_type(self, tmp_path, capsys):
         path = tmp_path / "bad_design.json"

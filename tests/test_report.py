@@ -14,11 +14,14 @@ from weldqc.streams import check_seed, derive_seed, substream
 
 
 def _cell_text(value) -> str:
-    """The text a cell is written as: JSON words, six-decimal floats, else str."""
+    """The text a cell is written as: JSON words, six-decimal floats, else str,
+    and a str holding a comma, a quote or a line break quoted as RFC 4180 does."""
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, float):
         return f"{value:.6f}"
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 
