@@ -39,9 +39,11 @@ from .errors import ConfigError, DomainError, SchemaError, WeldQCError
 from .ingest import (
     DEFAULT_GROUP_BY,
     KEY_FIELDS,
+    REQUIRED_COLUMNS,
     clean,
     filter_records,
     filter_summaries,
+    normalize_nps,
     open_table,
     parse_records,
     summarize,
@@ -66,10 +68,32 @@ def _strings(value) -> list[str]:
     return value
 
 
+def _grouping(value) -> list[str]:
+    bad = [name for name in _strings(value) if name not in KEY_FIELDS]
+    if bad:
+        raise ValueError(f"cannot group by non-key field(s): {', '.join(bad)}")
+    return value
+
+
 def _operator_grouping(value) -> list[str]:
-    if "operator_id" not in _strings(value):
+    if "operator_id" not in _grouping(value):
         raise ValueError("operators are compared per operator_id, so it must be listed")
     return value
+
+
+def _where(value) -> list[str]:
+    """field=value pairs, one per record field, with an NPS value normalized as ingest stores it."""
+    criteria = {}
+    for pair in _strings(value):
+        name, equals, text = (part.strip() for part in pair.partition("="))
+        if not equals:
+            raise ValueError(f"expected field=value, got {pair!r}")
+        if name not in REQUIRED_COLUMNS:
+            raise ValueError(f"unknown record field {name!r}")
+        if name in criteria:
+            raise ValueError(f"field {name!r} is given more than once")
+        criteria[name] = normalize_nps(text) if name == "nps" else text
+    return [f"{name}={text}" for name, text in criteria.items()]
 
 
 def _choice(*allowed: str):
@@ -216,30 +240,20 @@ def _delimiter(resolved: dict) -> str:
     return "\t" if name in ("tab", "\\t", "\t") else name
 
 
-def _parse_where(pairs: list[str] | None) -> dict[str, str]:
-    criteria = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"--where expects field=value, got {pair!r}")
-        field, value = pair.split("=", 1)
-        criteria[field.strip()] = value.strip()
-    return criteria
-
-
 def _load_summaries(resolved: dict) -> tuple[list, dict]:
     parsed = parse_records(resolved["input"], _delimiter(resolved))
-    records, rejections = clean(parsed.records)
-    where = _parse_where(resolved.get("where"))
+    counts, rejections = clean(parsed.counts)
+    where = dict(pair.split("=", 1) for pair in resolved["where"])
     if where:
-        records = filter_records(records, **where)
-    summaries = summarize(records, tuple(resolved["group_by"]))
+        counts = filter_records(counts, **where)
+    summaries = summarize(counts, tuple(resolved["group_by"]))
     info = {
-        "rows_parsed": len(parsed.records),
+        "rows_parsed": parsed.counts.total(),
         "parse_issues": [
             {"line": issue.line, "message": issue.message} for issue in parsed.issues
         ],
         "rejections": rejections.as_dict(),
-        "rows_kept": len(records),
+        "rows_kept": counts.total(),
     }
     return summaries, info
 
@@ -631,8 +645,8 @@ def cmd_rework(resolved: dict) -> tuple[Artifacts, str]:
 
 _INPUT = Option(_REQUIRED, str)
 _DELIMITER = Option(",", _choice(",", "tab", ";", "\\t", "\t"))
-_WHERE = Option([], _strings, {"action": "append", "metavar": "FIELD=VALUE"})
-_GROUP_BY = Option(list(DEFAULT_GROUP_BY), _strings, {"action": _CommaList})
+_WHERE = Option([], _where, {"action": "append", "metavar": "FIELD=VALUE"})
+_GROUP_BY = Option(list(DEFAULT_GROUP_BY), _grouping, {"action": _CommaList})
 _PRIOR = Option([0.5, 0.5], _shapes, {"nargs": 2, "metavar": ("A", "B")})
 _SEED = Option(0, _integer)
 
@@ -659,7 +673,7 @@ COMMANDS: dict[str, tuple[Callable[[dict], tuple[Artifacts, str]], str, dict[str
         "input": _INPUT,
         "delimiter": _DELIMITER,
         "where": _WHERE,
-        "nps": Option(None, str),
+        "nps": Option(None, lambda value: normalize_nps(str(value))),
         "schedule": Option(None, str),
         "material": Option(None, str),
         "weld_kind": Option(None, str),

@@ -11,13 +11,17 @@ Inspection status coding: 0 = not inspected, 1 = inspected and passed,
 2 = inspected and failed.  Parsing is permissive (bad rows are reported,
 not dropped); `clean` enforces the invariants and reports every rejection.
 Every required column is categorical, so an export repeats a few distinct
-lines many times.  Each distinct line is split and parsed once (with an
-extra column such as a weld ID, each distinct set of required cells is
-parsed once), and its repeats share one WeldRecord, which `summarize`
-counts by identity.  Lines are split directly up to the first quote
-character, inner carriage return or line longer than the csv field limit;
-from there on `csv` reads the rest of the table, since a quoted field may
-span lines.
+lines many times.  Ingest therefore carries a row count per distinct
+WeldRecord, not one entry per row: one counting pass over the rows, then
+`parse_records`, `clean`, `filter_records` and `summarize` all do work that
+grows with the number of distinct records.  Each distinct line is split and
+parsed once (with an extra column such as a weld ID, csv reads the rows and
+each distinct set of required cells is parsed once).  Lines are split
+directly up to the first quote character, inner line break or line longer
+than the csv field limit; from there on `csv` reads the rest of the table,
+since a quoted field may span lines.  It reads strictly: a quote left open
+at the end of the table, or text after a closing quote, is a malformed
+table rather than rows run together into one field.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import csv
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, count, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -49,6 +53,10 @@ VALID_STATUSES = (0, 1, 2)
 KEY_FIELDS = ("nps", "schedule", "material", "weld_kind", "operator_id")
 
 DEFAULT_GROUP_BY = ("nps", "schedule", "material", "weld_kind")
+
+#: an export is read in chunks of lines of about this many bytes, or of rows
+CHUNK_BYTES = 1 << 16
+CHUNK_ROWS = 1 << 11
 
 
 def normalize_nps(raw: str) -> str:
@@ -84,8 +92,13 @@ class ParseIssue:
 
 @dataclass
 class ParseResult:
-    records: list[WeldRecord]
+    counts: Counter  # rows per distinct WeldRecord, in first-seen order
     issues: list[ParseIssue] = field(default_factory=list)
+
+    @property
+    def records(self) -> list[WeldRecord]:
+        """One record per row, grouped by record rather than in row order."""
+        return list(self.counts.elements())
 
 
 @dataclass
@@ -155,11 +168,11 @@ def open_table(source, name: str = "input") -> Iterator[TextIO]:
 
 
 def parse_records(source, delimiter: str = ",") -> ParseResult:
-    """Parse a delimited export into WeldRecords, preserving row order.
+    """Parse a delimited export into row counts per distinct WeldRecord.
 
     Structural problems (wrong field count) and non-integer status tokens are
-    reported with their 1-based line numbers; the affected rows are kept so
-    that `clean` can account for them explicitly.
+    reported with their 1-based line numbers, in line order; the affected
+    rows are kept so that `clean` can account for them explicitly.
     """
     with open_table(source) as handle:
         return _parse_rows(handle, delimiter)
@@ -167,7 +180,7 @@ def parse_records(source, delimiter: str = ",") -> ParseResult:
 
 def _parse_row(*cells: str) -> tuple[WeldRecord, str | None]:
     """One row's record, from its cells in REQUIRED_COLUMNS order, and its problem if any."""
-    operator_id, weld_kind, schedule, nps, material, project_type, status = (c.strip() for c in cells)
+    operator_id, weld_kind, schedule, nps, material, project_type, status = map(str.strip, cells)
     fields = (operator_id, weld_kind, schedule, normalize_nps(nps), material, project_type)
     try:
         code = int(status)
@@ -177,94 +190,116 @@ def _parse_row(*cells: str) -> tuple[WeldRecord, str | None]:
 
 
 def _parse_rows(handle: TextIO, delimiter: str) -> ParseResult:
-    lines = iter(handle)
-    header = next(csv.reader(lines, delimiter=delimiter), None)
+    header = next(csv.reader(handle, delimiter=delimiter, strict=True), None)
     if header is None:
         raise SchemaError("input is empty: expected a header row")
     names = [h.strip() for h in header]
     missing = [c for c in REQUIRED_COLUMNS if c not in names]
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+    width = len(names)
     required_cells = itemgetter(*(names.index(c) for c in REQUIRED_COLUMNS))
-
-    # keyed on the required cells only, so an extra unique column (a weld ID,
-    # a date) does not make every row distinct
-    parsed: dict[tuple[str, ...], tuple[WeldRecord, str | None]] = {}
-
-    def outcome(row: list[str]) -> tuple[WeldRecord | None, str | None]:
-        """A row's record (None for a blank or short row) and its problem if any."""
-        if len(row) >= len(names):
-            cells = required_cells(row)
-            found = parsed.get(cells)
-            if found is not None:
-                return found
-        if not "".join(row).strip():
-            return None, None
-        if len(row) < len(names):
-            return None, f"expected {len(names)} fields, got {len(row)}"
-        found = _parse_row(*cells)
-        # a row is blank when all its cells are, so only cells with some text
-        # decide the outcome on their own
-        if "".join(cells).strip():
-            parsed[cells] = found
-        return found
-
-    # A line fixes its outcome, so with only required columns the raw line is
-    # the key; with an extra unique column almost every line is distinct and
-    # the line cache would only grow, so it stays empty.
-    by_line: dict[str, tuple[WeldRecord | None, str | None]] = {}
-    keyed = set(names) <= set(REQUIRED_COLUMNS)
     limit = csv.field_size_limit()
 
-    def outcomes() -> Iterator[tuple[WeldRecord | None, str | None]]:
-        for line in lines:
-            result = by_line.get(line)
-            if result is None:
-                text = line.rstrip("\r\n")
-                # csv would split these differently: a quoted field may span
-                # lines, an inner line break is an error, so is an oversized field
-                if '"' in line or "\r" in text or "\n" in text or len(line) > limit:
-                    break
-                result = outcome(text.split(delimiter))
-                if keyed:
-                    by_line[line] = result
-            yield result
-        else:
-            return
-        for row in csv.reader(chain([line], lines), delimiter=delimiter):
-            yield outcome(row)
-
-    records: list[WeldRecord] = []
+    # Rows are counted per key, a value that fixes the row's outcome: the raw
+    # line while only required columns are present, else the required cells
+    # (so an extra unique column, a weld ID or a date, does not make every row
+    # distinct), None for a blank row, or the field count of a short row.
+    counts: Counter = Counter()
+    records: dict = {}  # key -> its WeldRecord, or None
+    problems: dict = {}  # key -> its ParseIssue message
     issues: list[ParseIssue] = []
-    for line_no, (record, problem) in enumerate(outcomes(), start=2):
-        if problem is not None:
-            issues.append(ParseIssue(line_no, problem))
-        if record is not None:
-            records.append(record)
-    return ParseResult(records=records, issues=issues)
+    row_no = 2
+    # required cells with some text (so not a blank row's), one object each
+    seen: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def row_key(row: list[str]):
+        if len(row) >= width and (cells := seen.get(required_cells(row))) is not None:
+            return cells
+        if not "".join(row).strip():
+            return None
+        if len(row) < width:
+            return len(row)
+        cells = required_cells(row)
+        # blank cells may be a blank row's, so they do not go into `seen`
+        return seen.setdefault(cells, cells) if "".join(cells).strip() else cells
+
+    def outcome(key) -> tuple[WeldRecord | None, str | None]:
+        if isinstance(key, str):
+            key = row_key(key.rstrip("\r\n").split(delimiter))
+        if key is None:
+            return None, None
+        if isinstance(key, int):
+            return None, f"expected {width} fields, got {key}"
+        return _parse_row(*key)
+
+    def plain(line: str) -> bool:
+        """Whether a split reads the line as csv does (no quote, inner break or oversized field)."""
+        text = line.rstrip("\r\n")
+        return not ('"' in line or "\r" in text or "\n" in text or len(line) > limit)
+
+    def tally(keys: list) -> int:
+        """Count `keys` up to the first raw line that csv must read; return how many."""
+        nonlocal counts, row_no
+        before = len(counts)
+        counts.update(keys)
+        fresh = list(islice(reversed(counts), len(counts) - before))  # latest first
+        late = [key for key in fresh if isinstance(key, str) and not plain(key)]
+        if late:
+            read = keys.index(late[-1])
+            counts -= Counter(keys[read:])
+            keys, fresh = keys[:read], [key for key in fresh if key in counts]
+        for key in fresh:
+            records[key], problem = outcome(key)
+            if problem is not None:
+                problems[key] = problem
+        if problems:
+            for number in compress(count(row_no), map(problems.__contains__, keys)):
+                issues.append(ParseIssue(number, problems[keys[number - row_no]]))
+        row_no += len(keys)
+        return len(keys)
+
+    # one pass in bounded chunks, since a caller's handle need not be seekable
+    lines: Iterable[str] = handle
+    if set(names) <= set(REQUIRED_COLUMNS):
+        for chunk in iter(lambda: handle.readlines(CHUNK_BYTES), []):
+            if (done := tally(chunk)) < len(chunk):
+                lines = chain(chunk[done:], handle)
+                break
+    # csv reads a table with extra columns, or the rest from a line it must read
+    reader = csv.reader(lines, delimiter=delimiter, strict=True)
+    while keys := list(map(row_key, islice(reader, CHUNK_ROWS))):
+        tally(keys)
+
+    parsed: Counter = Counter()
+    for key, rows in counts.items():
+        if (record := records[key]) is not None:
+            parsed[record] += rows
+    return ParseResult(parsed, issues)
 
 
-def clean(records: Iterable[WeldRecord]) -> tuple[list[WeldRecord], RejectionReport]:
-    """Drop rows with blank key fields or a status outside {0, 1, 2}.
+def clean(counts: Mapping[WeldRecord, int]) -> tuple[Counter, RejectionReport]:
+    """Drop records with blank key fields or a status outside {0, 1, 2}.
 
-    Nothing is dropped silently: every rejection increments a reason counter
-    in the returned report.  Idempotent by construction.
+    Takes and returns row counts per distinct record.  Nothing is dropped
+    silently: every rejected row increments a reason counter in the returned
+    report.  Idempotent by construction.
     """
-    kept: list[WeldRecord] = []
+    kept = Counter(counts)
     report = RejectionReport()
-    for record in records:
+    for record, rows in counts.items():
         if not (record.schedule and record.nps and record.material):
-            report.reasons["blank_field"] += 1
+            report.reasons["blank_field"] += rows
+        elif record.inspection_status not in VALID_STATUSES:
+            report.reasons["invalid_status"] += rows
+        else:
             continue
-        if record.inspection_status not in VALID_STATUSES:
-            report.reasons["invalid_status"] += 1
-            continue
-        kept.append(record)
+        del kept[record]
     return kept, report
 
 
-def filter_records(records: Iterable[WeldRecord], **criteria: str) -> list[WeldRecord]:
-    """Keep records whose named fields equal the given values.
+def filter_records(counts: Mapping[WeldRecord, int], **criteria: str) -> Counter:
+    """Keep the row counts of records whose named fields equal the given values.
 
     Exposed for dataset-specific selections (e.g. project_type == '0' for
     fabrication work, weld_kind == 'BW') rather than hard-coding any of them.
@@ -272,44 +307,37 @@ def filter_records(records: Iterable[WeldRecord], **criteria: str) -> list[WeldR
     unknown = set(criteria) - set(REQUIRED_COLUMNS)
     if unknown:
         raise SchemaError(f"unknown record field(s): {', '.join(sorted(unknown))}")
-    out = list(records)
-    for fname, value in criteria.items():
-        out = [r for r in out if str(getattr(r, fname)) == value]
-    return out
+
+    def wanted(record: WeldRecord) -> bool:
+        return all(str(getattr(record, f)) == value for f, value in criteria.items())
+
+    return Counter({record: rows for record, rows in counts.items() if wanted(record)})
 
 
 def summarize(
-    records: Iterable[WeldRecord],
+    counts: Mapping[WeldRecord, int],
     group_by: Sequence[str] = DEFAULT_GROUP_BY,
 ) -> list[GroupSummary]:
-    """Aggregate cleaned records into one summary per distinct group key.
+    """Aggregate row counts of cleaned records into one summary per group key.
 
     total = all rows in the group, inspected = rows with status 1 or 2,
     repaired = rows with status 2.  Output is sorted by key, so equal inputs
-    in any order produce identical summaries.  Records are counted by
-    identity first, so past one pass the work grows with the number of
-    distinct record objects.
+    in any order produce identical summaries.
     """
     bad = set(group_by) - set(KEY_FIELDS)
     if bad:
         raise SchemaError(f"cannot group by non-key field(s): {', '.join(sorted(bad))}")
-    records = list(records)
-    by_id = dict(zip(map(id, records), records))
     groups: dict[tuple, list[int]] = {}
-    # parsed repeats share one object, so counting identities (not hashing
-    # every dataclass) finds the distinct records; equal records that are
-    # separate objects still land in the same group
-    for ident, count in Counter(map(id, records)).items():
-        record = by_id[ident]
-        counts = groups.setdefault(tuple(getattr(record, f) for f in group_by), [0, 0, 0])
-        counts[0] += count
+    for record, rows in counts.items():
+        tally = groups.setdefault(tuple(getattr(record, f) for f in group_by), [0, 0, 0])
+        tally[0] += rows
         if record.inspection_status in (1, 2):
-            counts[1] += count
+            tally[1] += rows
         if record.inspection_status == 2:
-            counts[2] += count
+            tally[2] += rows
     summaries = [
-        GroupSummary(GroupKey(**dict(zip(group_by, values))), *counts)
-        for values, counts in groups.items()
+        GroupSummary(GroupKey(**dict(zip(group_by, values))), *tally)
+        for values, tally in groups.items()
     ]
     return sorted(summaries, key=lambda summary: summary.key.sort_key())
 

@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weldqc import ab, report
 from weldqc.cli import COMMANDS, main
@@ -65,6 +69,18 @@ class TestSummarize:
         _, body = read_meta_and_rows(out / "summary.csv")
         assert len(body) == 2
 
+    def test_where_nps_is_normalized(self, records_csv, tmp_path):
+        """Ingest stores NPS 4.00 as 4, so --where nps=4.00 selects those rows."""
+        bodies = []
+        for value in ("4", "4.00", " 4.0 "):
+            out = tmp_path / value.strip()
+            argv = ["summarize", "--input", str(records_csv), "--out-dir", str(out)]
+            assert main(argv + ["--where", f"nps={value}", "--where", "weld_kind=BW"]) == 0
+            bodies.append(read_meta_and_rows(out / "summary.csv")[1])
+            rejections = json.loads((out / "rejections.json").read_text())
+            assert rejections["rows_kept"] == 5 and rejections["rows_parsed"] == 125
+        assert bodies[0] == bodies[1] == bodies[2] and bodies[0][1] == "4,XS,Material A,BW,5,5,0"
+
 
 class TestInterval:
     def test_worked_example(self, tmp_path):
@@ -123,6 +139,17 @@ class TestOperators:
         assert matrix[0] == "operator_id,11,22"
         assert matrix[1].split(",")[1] == "0.500000"
         assert (out / "operators_boxplot.svg").read_text().startswith("<!--")
+
+    def test_nps_flag_is_normalized(self, records_csv, tmp_path):
+        bodies = []
+        for value in ("2", "2.00"):
+            out = tmp_path / value
+            assert main([
+                "operators", "--input", str(records_csv), "--nps", value, "--min-inspected", "50",
+                "--iterations", "300", "--resamples", "10", "--out-dir", str(out),
+            ]) == 0
+            bodies.append(read_meta_and_rows(out / "operators.csv")[1])
+        assert bodies[0] == bodies[1] and len(bodies[0]) == 3
 
     def test_no_match_is_config_error(self, records_csv, tmp_path):
         assert main([
@@ -552,6 +579,10 @@ MALFORMED_INPUTS = {
         ["rework", "--specs", "specs.json", "--actuals", "actuals.json"], 2, "actuals",
     ),
     "export-missing": ({}, ["summarize", "--input", "export.csv"], 2, "cannot read input"),
+    "export-unterminated-quote": (
+        {"export.csv": (_EXPORT + '\n11,BW,"STD,2,Material A,0,1\n' + _EXPORT.split("\n")[1]).encode()},
+        ["summarize", "--input", "export.csv"], 2, "unexpected end of data",
+    ),
     "export-field-over-csv-limit": (
         {"export.csv": (_EXPORT + "\n11,BW,STD,2," + "x" * 200_000 + ",0,1\n").encode()},
         ["summarize", "--input", "export.csv"], 2, "field limit",
@@ -638,6 +669,35 @@ MALFORMED_INPUTS = {
     "flag-mode-unknown": (
         {"design.json": _DESIGN}, ["forecast", "--design", "design.json", "--mode", "bogus"], 3,
         "mode",
+    ),
+    # a flag error stops the run before the export is opened (export.csv is
+    # never written, so reading it first would exit 2)
+    "flag-where-unknown-field": (
+        {}, ["summarize", "--input", "export.csv", "--where", "nope=1"], 3,
+        "unknown record field 'nope'",
+    ),
+    "flag-where-repeated-field": (
+        {}, ["summarize", "--input", "export.csv", "--where", "nps=2", "--where", "nps=4"], 3,
+        "field 'nps' is given more than once",
+    ),
+    "flag-where-without-value": (
+        {}, ["operators", "--input", "export.csv", "--where", "nps"], 3, "expected field=value",
+    ),
+    "config-where-unknown-field": (
+        {"config.json": _json_bytes({"where": ["colour=red"]})},
+        ["complexity", "--input", "export.csv", "--config", "config.json"], 3, "'colour'",
+    ),
+    "flag-group-by-unknown-field": (
+        {}, ["summarize", "--input", "export.csv", "--group-by", "nope"], 3,
+        "cannot group by non-key field(s): nope",
+    ),
+    "flag-group-by-non-key-field": (
+        {}, ["complexity", "--input", "export.csv", "--group-by", "nps,project_type"], 3,
+        "cannot group by non-key field(s): project_type",
+    ),
+    "flag-operators-group-by-unknown-field": (
+        {}, ["operators", "--input", "export.csv", "--group-by", "nope,operator_id"], 3,
+        "cannot group by non-key field(s): nope",
     ),
     "config-operators-group-by-without-operator": (
         {"export.csv": _EXPORT.encode(), "config.json": _json_bytes(
@@ -939,3 +999,67 @@ def test_unknown_flag_is_usage_error(argv, capsys):
         main(argv)
     assert stop.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ fuzzed exports
+
+_ROWS = _EXPORT.split("\n")[1:] + ["22,BW,STD,2,Material A,0,1"] * 8 + ["22,BW,STD,2,Material A,0,2"] * 2
+_INGEST_RUNS = {
+    "summarize": ["summarize"],
+    "operators": ["operators", "--min-inspected", "1", "--iterations", "300", "--resamples", "10"],
+}
+
+
+@st.composite
+def mutated_exports(draw):
+    """(mutation, export bytes): a valid two-operator export with one mutation at a drawn place."""
+    lines = [HEADER] + _ROWS
+    line = draw(st.integers(0, len(lines) - 1))
+    column = draw(st.integers(0, HEADER.count(",")))
+    mutation = draw(st.sampled_from([
+        "empty", "header-only", "drop-column", "non-utf8", "nul", "unterminated-quote",
+        "oversized-field",
+    ]))
+    cells = lines[line].split(",")
+    if mutation == "empty":
+        lines = []
+    elif mutation == "header-only":
+        lines = lines[:1]
+    elif mutation == "drop-column":
+        lines = [",".join(c for i, c in enumerate(row.split(",")) if i != column) for row in lines]
+    elif mutation == "unterminated-quote":
+        cells[column] = '"' + cells[column]
+    elif mutation == "oversized-field":
+        cells[column] = "x" * (csv.field_size_limit() + 1)
+    if mutation in ("unterminated-quote", "oversized-field"):
+        lines[line] = ",".join(cells)
+    data = "".join(text + "\n" for text in lines).encode()
+    if mutation in ("non-utf8", "nul"):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + (b"\xff" if mutation == "non-utf8" else b"\x00") + data[at:]
+    return mutation, data
+
+
+@pytest.mark.parametrize("command", sorted(_INGEST_RUNS))
+@settings(max_examples=40, deadline=None)
+@given(export=mutated_exports())
+def test_mutated_export_keeps_the_exit_code_contract(command, export, tmp_path_factory):
+    """A run either succeeds, or exits 2 or 3 with one error line and writes nothing."""
+    mutation, data = export
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "export.csv").write_bytes(data)
+    out = work / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(_INGEST_RUNS[command] + ["--input", str(work / "export.csv"), "--out-dir", str(out)])
+    err = stderr.getvalue()
+    if code == 0:
+        assert err == "" and sorted(p.name for p in out.iterdir()) == WRITTEN_FILES[command][1]
+    else:
+        assert code in (2, 3)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+    # a table that cannot be read, or that holds no operator, never succeeds
+    unreadable = ("empty", "drop-column", "non-utf8", "unterminated-quote", "oversized-field")
+    if mutation in unreadable or (mutation, command) == ("header-only", "operators"):
+        assert code != 0, mutation

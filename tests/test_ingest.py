@@ -1,14 +1,16 @@
 import csv
 import io
 import random
+from collections import Counter
 from dataclasses import astuple
 from operator import itemgetter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weldqc import ingest
+from weldqc import cli, ingest
 from weldqc.errors import SchemaError
 from weldqc.ingest import (
     GroupKey,
@@ -46,12 +48,13 @@ def record(status=1, **overrides) -> WeldRecord:
 class TestParse:
     def test_well_formed(self):
         result = parse_records(table("7,BW,STD,2,Material A,0,1", "8,BW,XS,4,Material A,0,2"))
-        assert len(result.records) == 2
+        assert result.counts == Counter([record(status=1), record(operator_id="8", schedule="XS", nps="4", status=2)])
         assert result.issues == []
-        assert result.records[0].inspection_status == 1
+        assert len(result.records) == 2
 
     def test_header_only(self):
-        assert parse_records(table()).records == []
+        result = parse_records(table())
+        assert result.counts == Counter() and result.records == []
 
     def test_missing_column(self):
         bad = io.StringIO("operator_id,weld_kind\n7,BW\n")
@@ -60,26 +63,25 @@ class TestParse:
 
     def test_out_of_range_status_kept_for_cleaning(self):
         result = parse_records(table("7,BW,STD,2,Material A,0,3"))
-        assert len(result.records) == 1
-        assert result.records[0].inspection_status == 3
+        assert result.counts == Counter([record(status=3)])
 
     def test_unparseable_status_reported_with_line(self):
         result = parse_records(table("7,BW,STD,2,Material A,0,1", "8,BW,STD,2,Material A,0,oops"))
-        assert len(result.records) == 2
+        assert result.counts.total() == 2
         assert [issue.line for issue in result.issues] == [3]
 
     def test_tab_delimiter(self):
         text = HEADER.replace(",", "\t") + "\n" + "7\tBW\tSTD\t2\tMaterial A\t0\t1\n"
         result = parse_records(io.StringIO(text), delimiter="\t")
-        assert len(result.records) == 1
+        assert result.counts == Counter([record()])
 
     def test_nps_normalized(self):
         result = parse_records(table("7,BW,STD,4.00,Material A,0,1"))
-        assert result.records[0].nps == "4"
+        assert list(result.counts) == [record(nps="4")]
 
 
 class TestDistinctRows:
-    """Each distinct row is parsed once; its repeats share one record."""
+    """Each distinct row is parsed once, and its repeats are counted, not listed."""
 
     ROWS = ("7,BW,STD,2,Material A,0,1", "7,BW,STD,2,Material A,0,2", "8,SW,XS,4.0,Material B,0,0")
 
@@ -88,27 +90,24 @@ class TestDistinctRows:
         result = parse_records(table(good, bad, good, bad, good, good, good, bad))
         assert [issue.line for issue in result.issues] == [3, 5, 9]
         assert {issue.message for issue in result.issues} == {"unparseable inspection_status 'oops'"}
-        assert len(result.records) == 8
+        assert result.counts.total() == 8
 
     def test_repeats_share_one_record(self, monkeypatch):
         calls = []
         parse_row = ingest._parse_row
         monkeypatch.setattr(ingest, "_parse_row", lambda *cells: calls.append(cells) or parse_row(*cells))
         rows = [self.ROWS[i % 3] for i in range(3000)]
-        records = parse_records(table(*rows)).records
-        assert len(records) == 3000
-        assert len({id(r) for r in records}) == 3
+        result = parse_records(table(*rows))
         assert len(calls) == 3
         per_row = [
             record(operator_id=op, weld_kind=kind, schedule=sch, nps=normalize_nps(nps),
                    material=mat, project_type=pt, status=int(status))
             for op, kind, sch, nps, mat, pt, status in (row.split(",") for row in rows)
         ]
-        assert records == per_row
-        operator_key = ("nps", "schedule", "material", "weld_kind", "operator_id")
-        for group_by in (("nps",), operator_key):
-            assert summarize(records, group_by) == summarize(per_row, group_by)
-        (first, second) = summarize(records)
+        assert result.counts == Counter(per_row)
+        assert list(result.counts) == per_row[:3]  # first-seen order
+        assert result.records == sorted(per_row, key=per_row.index)  # grouped by record
+        (first, second) = summarize(result.counts)
         assert (first.total_welds, first.inspected_welds, first.repaired_welds) == (2000, 2000, 1000)
         assert (second.total_welds, second.inspected_welds, second.repaired_welds) == (1000, 0, 0)
 
@@ -117,24 +116,36 @@ class TestDistinctRows:
         plain = parse_records(table(*rows))
         text = f"weld_id,{HEADER}\n" + "".join(f"W{i},{row}\n" for i, row in enumerate(rows))
         with_ids = parse_records(io.StringIO(text))
-        assert with_ids.records == plain.records
+        assert with_ids.counts == plain.counts
+        assert list(with_ids.counts) == list(plain.counts)
         assert with_ids.issues == plain.issues
-        assert len({id(r) for r in with_ids.records}) == 5
-        assert summarize(clean(with_ids.records)[0]) == summarize(clean(plain.records)[0])
+        assert len(with_ids.counts) == 5
+        assert summarize(clean(with_ids.counts)[0]) == summarize(clean(plain.counts)[0])
 
     def test_blank_rows(self):
         text = HEADER + ",comment\n" + " , ,\t, , , , , \n" + ",,,,,,,note\n"
         result = parse_records(io.StringIO(text))
-        assert len(result.records) == 1
+        assert result.counts.total() == 1
         assert [issue.line for issue in result.issues] == [3]
-        kept, report = clean(result.records)
-        assert kept == [] and report.as_dict() == {"blank_field": 1}
+        kept, report = clean(result.counts)
+        assert kept == Counter() and report.as_dict() == {"blank_field": 1}
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 40, 1 << 20])
+    def test_chunk_size_does_not_matter(self, monkeypatch, chunk_bytes):
+        rows = [self.ROWS[i % 3] for i in range(40)] + ["7,BW", "7,BW,STD,2,Material A,0,x"] * 3
+        rows += ['7,BW,STD,2,"Material A",0,1', *self.ROWS]  # csv reads from the quote on
+        text = f"weld_id,{HEADER}\n" + "".join(f"W{i},{row}\n" for i, row in enumerate(rows))
+        expected = parse_records(io.StringIO(text)), parse_records(table(*rows))
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", max(1, chunk_bytes // 40))
+        assert (parse_records(io.StringIO(text)), parse_records(table(*rows))) == expected
+        assert [issue.line for issue in expected[0].issues] == [42, 43, 44, 45, 46, 47]
 
 
 def csv_loop_parse(source, delimiter=","):
     """The csv row loop the line-keyed parser replaced, kept as its oracle."""
     with ingest.open_table(source) as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle, delimiter=delimiter, strict=True)
         try:
             header = next(reader)
         except StopIteration:
@@ -158,15 +169,23 @@ def csv_loop_parse(source, delimiter=","):
         return records, issues
 
 
+def small_chunks(size: int):
+    """Read exports `size` bytes of lines (or size // 32 rows) at a time."""
+    rows = max(1, size // 32)
+    return patch.multiple(ingest, CHUNK_BYTES=size, CHUNK_ROWS=min(rows, ingest.CHUNK_ROWS))
+
+
 def outcome(parse, source, delimiter):
-    """Records as tuples and issues as (line, message), or the SchemaError message."""
+    """Row counts per record tuple and issues as (line, message), or the SchemaError message."""
     try:
         result = parse(source, delimiter)
     except SchemaError as exc:
         return "error", str(exc)
     if isinstance(result, ingest.ParseResult):
-        return [astuple(r) for r in result.records], [(i.line, i.message) for i in result.issues]
-    return result
+        counts = Counter({astuple(r): rows for r, rows in result.counts.items()})
+        return counts, [(i.line, i.message) for i in result.issues]
+    records, issues = result
+    return Counter(records), issues
 
 
 @st.composite
@@ -208,14 +227,15 @@ def export_tables(draw):
 
 
 class TestLineKeyedParse:
-    """parse_records reads every table exactly as the csv row loop does."""
+    """parse_records counts every table's rows and reports its issues as the csv row loop does."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         table=export_tables(),
         source=st.sampled_from(["path", "stringio", "stringio-raw", "handle-cr"]),
+        chunk=st.sampled_from([1, 64, ingest.CHUNK_BYTES]),
     )
-    def test_equals_csv_loop(self, table, source, tmp_path_factory):
+    def test_equals_csv_loop(self, table, source, chunk, tmp_path_factory):
         text, delimiter, limit = table
         path = tmp_path_factory.mktemp("export") / "export.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -231,9 +251,20 @@ class TestLineKeyedParse:
 
         previous = csv.field_size_limit(limit)
         try:
-            assert parsed(parse_records) == parsed(csv_loop_parse)
+            with small_chunks(chunk):
+                assert parsed(parse_records) == parsed(csv_loop_parse)
         finally:
             csv.field_size_limit(previous)
+
+    @pytest.mark.parametrize("row,error", [
+        ('7,BW,"STD,2,Material A,0,1', "unexpected end of data"),
+        ('7,BW,"STD" ,2,Material A,0,1', "',' expected after '\"'"),
+    ])
+    def test_bad_quoting_is_a_malformed_table(self, row, error):
+        """A quote left open would otherwise run every later row into one field."""
+        rows = ["7,BW,STD,2,Material A,0,1"] * 3
+        with pytest.raises(SchemaError, match=f"input is a malformed table: {error}"):
+            parse_records(table(rows[0], row, *rows))
 
     def test_field_over_limit_is_a_malformed_table(self):
         text = table("7,BW,STD,2," + "x" * (csv.field_size_limit() + 1) + ",0,1")
@@ -251,66 +282,67 @@ def test_normalize_nps(raw, expected):
 
 class TestClean:
     def test_blank_field_dropped(self):
-        kept, report = clean([record(schedule="")])
-        assert kept == []
-        assert report.as_dict() == {"blank_field": 1}
+        kept, report = clean(Counter({record(schedule=""): 3}))
+        assert kept == Counter()
+        assert report.as_dict() == {"blank_field": 3}
 
     def test_failed_status_kept(self):
-        kept, report = clean([record(status=2)])
-        assert len(kept) == 1 and report.dropped == 0
+        kept, report = clean(Counter([record(status=2)]))
+        assert kept.total() == 1 and report.dropped == 0
 
     def test_invalid_status_dropped(self):
-        kept, report = clean([record(status=3), record(status="oops")])
-        assert kept == []
-        assert report.as_dict() == {"invalid_status": 2}
+        kept, report = clean(Counter({record(status=3): 2, record(status="oops"): 1}))
+        assert kept == Counter()
+        assert report.as_dict() == {"invalid_status": 3}
 
     def test_identity_on_valid_input(self):
-        records = [record(status=s) for s in (0, 1, 2)]
-        kept, report = clean(records)
-        assert kept == records and report.dropped == 0
+        counts = Counter({record(status=s): s + 1 for s in (0, 1, 2)})
+        kept, report = clean(counts)
+        assert kept == counts and list(kept) == list(counts) and report.dropped == 0
 
     def test_idempotent(self):
-        records = [record(), record(nps=""), record(status=9)]
-        once, _ = clean(records)
+        counts = Counter({record(): 4, record(nps=""): 2, record(status=9): 1})
+        once, report = clean(counts)
         twice, second_report = clean(once)
-        assert twice == once and second_report.dropped == 0
+        assert twice == once == Counter({record(): 4}) and report.dropped == 3
+        assert second_report.dropped == 0
 
 
 class TestSummarize:
     def test_status_definitions(self):
-        records = [record(status=0), record(status=1), record(status=2)]
-        (summary,) = summarize(records)
-        assert (summary.total_welds, summary.inspected_welds, summary.repaired_welds) == (3, 2, 1)
+        (summary,) = summarize(Counter({record(status=0): 3, record(status=1): 2, record(status=2): 1}))
+        assert (summary.total_welds, summary.inspected_welds, summary.repaired_welds) == (6, 3, 1)
 
     def test_uninspected_group(self):
-        summaries = summarize([record(status=0)] * 4)
+        summaries = summarize(Counter({record(status=0): 4}))
+        assert summaries[0].total_welds == 4
         assert summaries[0].inspected_welds == 0
         assert summaries[0].repaired_welds == 0
 
     def test_operator_grouping(self):
-        records = [record(operator_id="a"), record(operator_id="b")]
-        summaries = summarize(records, group_by=("nps", "schedule", "material", "weld_kind", "operator_id"))
+        counts = Counter([record(operator_id="a"), record(operator_id="b")])
+        summaries = summarize(counts, group_by=("nps", "schedule", "material", "weld_kind", "operator_id"))
         assert len(summaries) == 2
 
     def test_permutation_invariance(self):
-        records = [
-            record(status=s, nps=n, operator_id=op)
+        counts = [
+            (record(status=s, nps=n, operator_id=op), 1 + s)
             for s in (0, 1, 2)
             for n in ("2", "4")
             for op in ("a", "b", "c")
         ]
-        shuffled = records[:]
+        shuffled = counts[:]
         random.Random(5).shuffle(shuffled)
-        assert summarize(records) == summarize(shuffled)
+        assert summarize(Counter(dict(counts))) == summarize(Counter(dict(shuffled)))
 
     def test_totals_partition_the_records(self):
-        records = [record(nps=n, status=s) for n in ("2", "4", "6") for s in (0, 1, 2, 1)]
-        summaries = summarize(records)
-        assert sum(s.total_welds for s in summaries) == len(records)
+        counts = Counter(record(nps=n, status=s) for n in ("2", "4", "6") for s in (0, 1, 2, 1))
+        summaries = summarize(counts)
+        assert sum(s.total_welds for s in summaries) == counts.total() == 12
 
     def test_rejects_unknown_group_field(self):
         with pytest.raises(SchemaError):
-            summarize([record()], group_by=("nope",))
+            summarize(Counter([record()]), group_by=("nope",))
 
     def test_count_invariant_enforced(self):
         with pytest.raises(SchemaError):
@@ -323,8 +355,7 @@ class TestSummarize:
     nps=st.sampled_from(["2", "4", "6"]),
 )
 def test_summary_counts_are_consistent(statuses, nps):
-    records = [record(status=s, nps=nps) for s in statuses]
-    (summary,) = summarize(records)
+    (summary,) = summarize(Counter(record(status=s, nps=nps) for s in statuses))
     assert summary.repaired_welds <= summary.inspected_welds <= summary.total_welds
     assert summary.total_welds == len(statuses)
     assert summary.inspected_welds == sum(1 for s in statuses if s in (1, 2))
@@ -333,29 +364,125 @@ def test_summary_counts_are_consistent(statuses, nps):
 
 class TestFilters:
     def test_filter_records_by_field(self):
-        records = [record(project_type="0"), record(project_type="1")]
-        assert len(filter_records(records, project_type="0")) == 1
+        counts = Counter({record(project_type="0"): 3, record(project_type="1"): 2, record(status=2): 1})
+        assert filter_records(counts, project_type="0") == Counter({record(): 3, record(status=2): 1})
+        assert filter_records(counts, project_type="0", inspection_status="2") == Counter([record(status=2)])
 
     def test_filter_records_unknown_field(self):
         with pytest.raises(SchemaError):
-            filter_records([record()], colour="red")
+            filter_records(Counter([record()]), colour="red")
 
     def test_min_inspected_threshold(self):
         summaries = summarize(
-            [record(operator_id="a")] * 100 + [record(operator_id="b")] * 99,
+            Counter({record(operator_id="a"): 100, record(operator_id="b"): 99}),
             group_by=("nps", "schedule", "material", "weld_kind", "operator_id"),
         )
         surviving = filter_summaries(summaries, min_inspected=100)
         assert [s.key.operator_id for s in surviving] == ["a"]
 
     def test_threshold_zero_is_identity(self):
-        summaries = summarize([record()])
+        summaries = summarize(Counter([record()]))
         assert filter_summaries(summaries, min_inspected=0) == summaries
 
     def test_unreachable_threshold(self):
-        assert filter_summaries(summarize([record()]), min_inspected=10) == []
+        assert filter_summaries(summarize(Counter([record()])), min_inspected=10) == []
 
     def test_key_filter(self):
-        summaries = summarize([record(nps="2"), record(nps="4")])
+        summaries = summarize(Counter([record(nps="2"), record(nps="4")]))
         kept = filter_summaries(summaries, key_filter={"nps": "2"})
         assert len(kept) == 1 and kept[0].key.nps == "2"
+
+
+@st.composite
+def loaded_exports(draw):
+    """(text, --where pairs, group_by) of an export with repeats, blank, short and bad rows."""
+    width = len(ingest.REQUIRED_COLUMNS)
+    cells = [
+        ["7", " 8 ", "9"], ["BW", "SW"], ["STD", "", "XS"], ["2", "4.00", "4", ""],
+        ["Material A", " "], ["0", "1"], ["0", "1", "2", "9", "x"],
+    ]
+    full = st.tuples(*(st.sampled_from(c) for c in cells)).map(list)
+    kinds = st.one_of(
+        full.map(lambda row: ("row", row)),
+        full.map(lambda row: ("row", row[: len(row) - 3])),  # short
+        st.sampled_from([[], [" "], [""] * width]).map(lambda row: ("blank", row)),
+    )
+    distinct = draw(st.lists(kinds, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=60))
+    names = list(ingest.REQUIRED_COLUMNS)
+    extra = draw(st.none() | st.integers(0, width))
+    if extra is not None:
+        names.insert(extra, "weld_id")
+    lines = [",".join(names)]
+    for number, pick in enumerate(picks):
+        kind, row = distinct[pick]
+        if extra is not None and kind == "row":
+            row = [*row[:extra], f"W{number}", *row[extra:]]
+        lines.append(",".join(row))
+    fields = st.sampled_from(["nps", "schedule", "operator_id", "inspection_status", "project_type"])
+    values = st.sampled_from(["2", "4.0", "STD", "7", " 8 ", "1", "0"])
+    where = draw(st.dictionaries(fields, values, max_size=2))
+    group_by = draw(st.sampled_from([
+        ingest.DEFAULT_GROUP_BY, (*ingest.DEFAULT_GROUP_BY, "operator_id"), ("nps",),
+        ("operator_id", "material"),
+    ]))
+    return "\n".join(lines) + "\n", [f"{f}={v}" for f, v in where.items()], group_by
+
+
+def per_row_load(text, where, group_by):
+    """What _load_summaries reports, from a plain loop over the rows."""
+    header, *rows = list(csv.reader(io.StringIO(text)))
+    names = [h.strip() for h in header]
+    wanted = {}
+    for pair in where:
+        field, value = (part.strip() for part in pair.split("="))
+        wanted[field] = normalize_nps(value) if field == "nps" else value
+    issues, rejections, groups = [], Counter(), {}
+    parsed = kept = 0
+    for line, row in enumerate(rows, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) < len(names):
+            issues.append({"line": line, "message": f"expected {len(names)} fields, got {len(row)}"})
+            continue
+        values = {name: row[names.index(name)].strip() for name in ingest.REQUIRED_COLUMNS}
+        values["nps"] = normalize_nps(values["nps"])
+        parsed += 1
+        status = values["inspection_status"]
+        if status not in ("0", "1", "2", "9"):
+            issues.append({"line": line, "message": f"unparseable inspection_status {status!r}"})
+        if not (values["schedule"] and values["nps"] and values["material"]):
+            rejections["blank_field"] += 1
+        elif status not in ("0", "1", "2"):
+            rejections["invalid_status"] += 1
+        elif all(values[field] == value for field, value in wanted.items()):
+            kept += 1
+            tally = groups.setdefault(tuple(values[f] for f in group_by), [0, 0, 0])
+            tally[0] += 1
+            tally[1] += status in ("1", "2")
+            tally[2] += status == "2"
+    summaries = [(dict(zip(group_by, key)), *tally) for key, tally in groups.items()]
+    summaries.sort(key=lambda s: tuple(s[0].get(f, "") for f in ingest.KEY_FIELDS))
+    info = {
+        "rows_parsed": parsed,
+        "parse_issues": issues,
+        "rejections": dict(sorted(rejections.items())),
+        "rows_kept": kept,
+    }
+    return summaries, info
+
+
+@settings(max_examples=150, deadline=None)
+@given(export=loaded_exports(), chunk=st.sampled_from([1, 64, ingest.CHUNK_BYTES]))
+def test_load_summaries_equals_per_row_loop(export, chunk):
+    text, where, group_by = export
+    resolved = {
+        "input": io.StringIO(text, newline=""), "delimiter": ",",
+        "where": cli._where(where), "group_by": list(group_by),
+    }
+    with small_chunks(chunk):
+        summaries, info = cli._load_summaries(resolved)
+    expected_summaries, expected_info = per_row_load(text, where, group_by)
+    assert info == expected_info
+    got = [(s.key.as_dict(), s.total_welds, s.inspected_welds, s.repaired_welds) for s in summaries]
+    assert got == expected_summaries

@@ -69,4 +69,6 @@ def test_traced_commands_report_metrics(tmp_path):
     assert metrics["mcmc.chains"] == 2 and metrics["ab.resamples"] == 2 * 10
     assert metrics["rework.draws"] > 0 and metrics["complexity.pairs"] == 3
     assert metrics["report.files"] == 3 + 5 + 3 + 5
+    # rows, not distinct records: the export has 20 rows of 4 distinct lines
+    assert metrics["ingest.rows_parsed"] == 20 and metrics["ingest.rows_rejected"] == 0
     assert json.loads((tmp_path / "forecast" / "forecast.json").read_text())["n_welds"] == N_WELDS
