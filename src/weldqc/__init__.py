@@ -17,7 +17,6 @@ from .bayes import (
     agresti_coull_interval,
     credible_interval,
     posterior,
-    posterior_mean,
     wald_interval,
     wilson_interval,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "agresti_coull_interval",
     "credible_interval",
     "posterior",
-    "posterior_mean",
     "wald_interval",
     "wilson_interval",
     "ConfigError",

@@ -14,16 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import special
-from .errors import DomainError
-
-
-def _check_integer(name: str, value) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return value
+from .errors import DomainError, check_integer
 
 
 @dataclass(frozen=True)
@@ -34,8 +26,8 @@ class CountData:
     inspected: int
 
     def __post_init__(self) -> None:
-        _check_integer("failed", self.failed)
-        _check_integer("inspected", self.inspected)
+        check_integer("failed", self.failed)
+        check_integer("inspected", self.inspected)
         if not (0 <= self.failed <= self.inspected):
             raise DomainError(
                 f"counts must satisfy 0 <= failed <= inspected, got "
@@ -104,31 +96,6 @@ class CredibleInterval:
 def posterior(counts: CountData, prior: BetaParams = JEFFREYS) -> BetaParams:
     """Beta posterior Beta(X + a, n - X + b) for the failure probability."""
     return BetaParams(counts.failed + prior.a, counts.inspected - counts.failed + prior.b)
-
-
-def posterior_mean(params: BetaParams, counts: CountData, prior: BetaParams = JEFFREYS) -> float:
-    """Posterior mean (X + a) / (n + a + b).
-
-    `params` must be the posterior of (counts, prior); the weighted-average
-    decomposition into sample fraction and prior mean is cross-checked to
-    1e-12 as an internal consistency guard.
-    """
-    n = counts.inspected
-    denom = n + prior.a + prior.b
-    direct = (counts.failed + prior.a) / denom
-    mle_part = (n / denom) * (counts.failed / n) if n > 0 else 0.0
-    prior_part = ((prior.a + prior.b) / denom) * (prior.a / (prior.a + prior.b))
-    decomposed = mle_part + prior_part
-    if abs(direct - decomposed) > 1e-12:
-        raise DomainError(
-            f"posterior mean decomposition mismatch: {direct} vs {decomposed}"
-        )
-    expected = posterior(counts, prior)
-    if not (math.isclose(params.a, expected.a) and math.isclose(params.b, expected.b)):
-        raise DomainError(
-            f"params Beta({params.a}, {params.b}) are not the posterior of the given counts"
-        )
-    return direct
 
 
 def credible_interval(params: BetaParams, alpha: float = 0.05) -> CredibleInterval:

@@ -241,9 +241,14 @@ def _delimiter(resolved: dict) -> str:
 
 
 def _load_summaries(resolved: dict) -> tuple[list, dict]:
+    """Summaries of the export's clean records that --where and the key flags select."""
+    where = dict(pair.split("=", 1) for pair in resolved["where"])
+    for name in ("nps", "schedule", "material", "weld_kind"):
+        value = resolved.get(name)
+        if value is not None and where.setdefault(name, value) != value:
+            raise ConfigError(f"{name} {value!r} contradicts where {name}={where[name]}")
     parsed = parse_records(resolved["input"], _delimiter(resolved))
     counts, rejections = clean(parsed.counts)
-    where = dict(pair.split("=", 1) for pair in resolved["where"])
     if where:
         counts = filter_records(counts, **where)
     summaries = summarize(counts, tuple(resolved["group_by"]))
@@ -322,16 +327,9 @@ def cmd_operators(resolved: dict) -> tuple[Artifacts, str]:
     if burn_in >= iterations:
         raise ConfigError(f"burn_in ({burn_in}) must be below iterations ({iterations})")
     summaries, _ = _load_summaries(resolved)
-    key_filter = {
-        f: resolved[f]
-        for f in ("nps", "schedule", "material", "weld_kind")
-        if resolved[f] is not None
-    }
-    selected = filter_summaries(
-        summaries, key_filter=key_filter, min_inspected=resolved["min_inspected"]
-    )
+    selected = filter_summaries(summaries, min_inspected=resolved["min_inspected"])
     if not selected:
-        raise ConfigError("no operator matches the key filter and threshold")
+        raise ConfigError("no operator matches the record filters and threshold")
 
     prior = BetaParams(*resolved["prior"])
     seed = resolved["seed"]
@@ -497,8 +495,8 @@ def _quantiles(table: list[tuple[float, float]]) -> tuple[dict, tuple[list, list
 
 def _load_design(path: str, prior: BetaParams) -> forecast.ProjectDesign:
     document = _read_json(path, "design", SchemaError)
-    if not isinstance(document.get("welds"), list):
-        raise SchemaError("design file needs a 'welds' list")
+    if not isinstance(document.get("welds"), list) or not document["welds"]:
+        raise SchemaError("design file needs a non-empty 'welds' list")
     # one posterior per key, so inline counts must agree with any seen before
     seen: dict[str, CountData] = {}
     with _fields("design 'types'"):
@@ -584,19 +582,25 @@ def _load_specs(path: str, prior: BetaParams) -> list[rework.ProductSpec]:
     return specs
 
 
-def _load_actuals(path: str | None) -> tuple[list[float], list[int]]:
+def _load_actuals(path: str | None, n_products: int) -> tuple[list[float], list[int]]:
     if not path:
         return [], []
     document = _read_json(path, "actuals", SchemaError)
     with _fields("actuals file"):
         hours = [_amount(h) for h in document.get("hours", [])]
         results = [_integer(r) for r in document.get("results", [])]
+    if any(r not in (0, 1) for r in results):
+        raise SchemaError("actuals file results must be 0 (pass) or 1 (fail/reworked)")
+    if len(hours) != len(results):
+        raise SchemaError(f"actuals file gives {len(hours)} hours for {len(results)} results")
+    if len(hours) > n_products:
+        raise SchemaError(f"actuals file gives {len(hours)} outcomes for {n_products} products")
     return hours, results
 
 
 def cmd_rework(resolved: dict) -> tuple[Artifacts, str]:
     specs = _load_specs(resolved["specs"], BetaParams(*resolved["prior"]))
-    hours, results = _load_actuals(resolved["actuals"])
+    hours, results = _load_actuals(resolved["actuals"], len(specs))
     seed = resolved["seed"]
     iterations = resolved["iterations"]
 

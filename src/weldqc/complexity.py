@@ -110,19 +110,6 @@ def profile_distance_matrix(matrix: HellingerMatrix) -> HellingerMatrix:
     return HellingerMatrix(matrix.labels, values)
 
 
-def complexity_order(posteriors: Sequence[BetaParams]) -> list[int]:
-    """Indices sorted by ascending posterior median.
-
-    Exact median ties are broken by smaller variance (a tighter distribution
-    is the less complex product); remaining ties keep input order.
-    """
-    return _median_order(posteriors, [p.median for p in posteriors])
-
-
-def _median_order(posteriors: Sequence[BetaParams], medians: list[float]) -> list[int]:
-    return sorted(range(len(posteriors)), key=lambda i: (medians[i], posteriors[i].variance, i))
-
-
 @dataclass(frozen=True)
 class ComplexityScore:
     label: str
@@ -137,15 +124,17 @@ def complexity_scores(
 ) -> list[ComplexityScore]:
     """Cumulative-Hellinger complexity scores scaled to [0, 10].
 
-    Walking products in median order, each score adds the Hellinger distance
-    to the previous product's distribution (first score 0); the maximum raw
-    score maps to 10.  Results are returned in the original input order.
+    Walking products in ascending median order, each score adds the Hellinger
+    distance to the previous product's distribution (first score 0); the
+    maximum raw score maps to 10.  Exact median ties are walked by smaller
+    variance first (a tighter distribution is the less complex product), then
+    in input order.  Results are returned in the original input order.
     """
     if not posteriors:
         raise DomainError("need at least one posterior")
     names = _default_labels(len(posteriors), labels)
     medians = [p.median for p in posteriors]
-    order = _median_order(posteriors, medians)
+    order = sorted(range(len(posteriors)), key=lambda i: (medians[i], posteriors[i].variance, i))
     shapes = np.array([(posteriors[i].a, posteriors[i].b) for i in order])
     raw = np.empty(len(order))
     raw[order] = np.cumsum(np.concatenate(([0.0], _hellinger_pairs(shapes[1:], shapes[:-1]))))
@@ -174,9 +163,6 @@ class ClusterTree:
     n_leaves: int
     labels: tuple[str, ...]
     merges: tuple[Merge, ...]
-
-    def members(self, cluster_id: int) -> frozenset[int]:
-        return frozenset(_leaves(self, cluster_id))
 
 
 def _leaves(tree: ClusterTree, cluster_id: int) -> list[int]:

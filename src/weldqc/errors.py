@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes: schema/input problems exit 2,
 configuration problems exit 3, numeric/domain problems exit 4.
 """
 
+from numbers import Integral
+
 
 class WeldQCError(Exception):
     """Base class for all weldqc errors."""
@@ -25,3 +27,10 @@ class DomainError(WeldQCError):
     """A numeric argument is outside the mathematical domain of an operation."""
 
     exit_code = 4
+
+
+def check_integer(name: str, value, error: type[WeldQCError] = DomainError) -> int:
+    """`value` itself if it is an integer (a numpy one too) and not a boolean; else `error`."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value

@@ -55,7 +55,7 @@ class ForecastResult:
     mode: str
 
     def quantiles(self) -> list[tuple[float, float]]:
-        return quantile_table(self)
+        return quantile_table(self.samples)
 
 
 def simulate_project(
@@ -103,9 +103,9 @@ def simulate_project(
     return ForecastResult(samples=samples, seed=seed, iterations=iterations, mode=mode)
 
 
-def quantile_table(result_or_samples) -> list[tuple[float, float]]:
+def quantile_table(samples) -> list[tuple[float, float]]:
     """Empirical quantiles on the 0%..100% grid of QUANTILE_STEP; nondecreasing."""
-    samples = np.asarray(getattr(result_or_samples, "samples", result_or_samples), dtype=float)
+    samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DomainError("no samples to summarize")
     levels = np.arange(0.0, 1.0 + QUANTILE_STEP / 2.0, QUANTILE_STEP)

@@ -343,21 +343,9 @@ def summarize(
 
 
 def filter_summaries(
-    summaries: Iterable[GroupSummary],
-    key_filter: Mapping[str, str] | None = None,
-    min_inspected: int = 0,
+    summaries: Iterable[GroupSummary], min_inspected: int = 0
 ) -> list[GroupSummary]:
-    """Keep summaries matching the key filter with at least `min_inspected` inspections."""
+    """Keep the summaries with at least `min_inspected` inspections."""
     if min_inspected < 0:
         raise SchemaError(f"min_inspected must be >= 0, got {min_inspected}")
-    key_filter = key_filter or {}
-    unknown = set(key_filter) - set(KEY_FIELDS)
-    if unknown:
-        raise SchemaError(f"unknown key field(s): {', '.join(sorted(unknown))}")
-    out = []
-    for summary in summaries:
-        if summary.inspected_welds < min_inspected:
-            continue
-        if all(getattr(summary.key, f) == v for f, v in key_filter.items()):
-            out.append(summary)
-    return out
+    return [summary for summary in summaries if summary.inspected_welds >= min_inspected]

@@ -5,7 +5,7 @@ proposes p* = p + N(0, sigma^2); proposals outside (0, 1) are rejected, which
 keeps the kernel's stationary distribution exactly the posterior without any
 boundary corrections.  The acceptance ratio is evaluated in log space.
 
-Diagnostics cover what practitioners actually look at: the trace, the sample
+Diagnostics cover what practitioners actually look at: the sample
 autocorrelation function, empirical quantile intervals, boxplot five-number
 summaries, and MAE/RMSE of empirical interval endpoints against the
 analytical solution.
@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import JEFFREYS, BetaParams, CountData, CredibleInterval, _check_integer
-from .errors import DomainError
+from .bayes import JEFFREYS, BetaParams, CountData, CredibleInterval
+from .errors import DomainError, check_integer
 from .streams import check_seed, derive_seed, substream
 
 
@@ -33,8 +33,8 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_integer("iterations", self.iterations)
-        _check_integer("burn_in", self.burn_in)
+        check_integer("iterations", self.iterations)
+        check_integer("burn_in", self.burn_in)
         if self.burn_in < 0 or self.iterations <= self.burn_in:
             raise DomainError(
                 f"need iterations > burn_in >= 0, got {self.iterations}, {self.burn_in}"
@@ -128,7 +128,7 @@ def sample_chains(
     n_chains: int = 1,
 ) -> list[Chain]:
     """Independent chains on substreams (seed, chain index)."""
-    if _check_integer("n_chains", n_chains) < 1:
+    if check_integer("n_chains", n_chains) < 1:
         raise DomainError(f"n_chains must be at least 1, got {n_chains}")
     return [
         sample_posterior(counts, prior, replace(config, seed=derive_seed(config.seed, index)))
@@ -211,13 +211,3 @@ def residual_metrics(
         rmse_lower=float(np.sqrt(np.mean(lower**2))),
         rmse_upper=float(np.sqrt(np.mean(upper**2))),
     )
-
-
-def trace_series(chain: Chain) -> list[tuple[int, float]]:
-    """(iteration, value) pairs for trace plotting."""
-    return [(i + 1, float(v)) for i, v in enumerate(chain.draws)]
-
-
-def acf_series(chain_or_values, max_lag: int) -> list[tuple[int, float]]:
-    """(lag, value) pairs for autocorrelation plotting."""
-    return [(lag, float(v)) for lag, v in enumerate(acf(chain_or_values, max_lag))]

@@ -35,6 +35,8 @@ def _rect(x, y, w, h, fill="#9ecae1") -> str:
 
 
 def _text(x, y, s, size=10, anchor="middle") -> str:
+    # what xml.sax.saxutils.escape does, without the 7 MB of modules that importing it loads
+    s = str(s).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" text-anchor="{anchor}">{s}</text>'
 
 

@@ -100,20 +100,6 @@ def fundamental_matrix(matrices: MarkovMatrices) -> np.ndarray:
     return closed
 
 
-def expected_rework_hours(
-    p: Sequence[float], specs: Sequence[ProductSpec]
-) -> tuple[np.ndarray, float]:
-    """Per-product eta_i * t_i * (1/(1 - p_i) - 1) and their total."""
-    probs = np.asarray(p, dtype=float)
-    if probs.size != len(specs):
-        raise DomainError(
-            f"got {probs.size} probabilities for {len(specs)} products"
-        )
-    visits = fundamental_matrix(transition_matrix(probs))[0]
-    hours = _columns(specs)[0] * (visits - 1.0)
-    return hours, float(hours.sum())
-
-
 def _columns(specs: Sequence[ProductSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-product rework-hour terms eta_i * t_i and posterior shapes a_i, b_i."""
     terms = np.array([s.efficiency * s.estimated_hours for s in specs])

@@ -27,6 +27,9 @@ _CF_MAX_ITER = 500
 
 _QUANTILE_TOL = 1e-12
 _QUANTILE_MAX_ITER = 200
+#: largest a + b for the incomplete beta: its continued fraction needs about
+#: sqrt(a + b) terms, and beyond 1e12 its quantiles drift from scipy's
+_MAX_SHAPE_SUM = 1e12
 
 _NORMAL = NormalDist()
 
@@ -125,10 +128,6 @@ def _beta_log_pdf(x: float, a: float, b: float, log_b: float) -> float:
     return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_b
 
 
-def beta_pdf(x: float, a: float, b: float) -> float:
-    return math.exp(beta_log_pdf(x, a, b))
-
-
 def _betacf(x: float, a: float, b: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab = a + b
@@ -169,10 +168,18 @@ def _betacf(x: float, a: float, b: float) -> float:
     )
 
 
-def beta_cdf(x: float, a: float, b: float) -> float:
-    """I_x(a, b), the regularized incomplete beta function."""
+def _check_shapes(a: float, b: float) -> None:
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
+    if not a + b <= _MAX_SHAPE_SUM:
+        raise DomainError(
+            f"shape parameters must sum to at most {_MAX_SHAPE_SUM:g}, got a={a}, b={b}"
+        )
+
+
+def beta_cdf(x: float, a: float, b: float) -> float:
+    """I_x(a, b), the regularized incomplete beta function."""
+    _check_shapes(a, b)
     if x < 0.0 or x > 1.0:
         raise DomainError(f"incomplete beta requires 0 <= x <= 1, got {x}")
     if x == 0.0:
@@ -215,8 +222,7 @@ def _quantile_initial_guess(q: float, a: float, b: float) -> float:
 
 def beta_quantile(q: float, a: float, b: float) -> float:
     """Inverse of beta_cdf: the value x with I_x(a, b) = q."""
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
+    _check_shapes(a, b)
     if q < 0.0 or q > 1.0:
         raise DomainError(f"quantile level must lie in [0, 1], got {q}")
     if q == 0.0:

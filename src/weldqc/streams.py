@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 
 
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
+    if check_integer("seed", seed, ConfigError) < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return int(seed)
 

@@ -9,7 +9,6 @@ from weldqc.bayes import (
     agresti_coull_interval,
     credible_interval,
     posterior,
-    posterior_mean,
     wald_interval,
     wilson_interval,
 )
@@ -69,19 +68,18 @@ class TestPosterior:
 
 
 class TestPosteriorMean:
+    """The posterior mean (X + a) / (n + a + b) is the mean of the posterior's Beta shapes."""
+
     def test_worked_example(self):
-        counts = CountData(10, 100)
-        params = posterior(counts, JEFFREYS)
-        assert posterior_mean(params, counts, JEFFREYS) == pytest.approx(10.5 / 101.0, abs=1e-15)
+        mean = posterior(CountData(10, 100), JEFFREYS).mean
+        assert mean == pytest.approx(10.5 / 101.0, abs=1e-15)
 
     def test_prior_mean_without_data(self):
-        counts = CountData(0, 0)
-        assert posterior_mean(posterior(counts, JEFFREYS), counts, JEFFREYS) == 0.5
+        assert posterior(CountData(0, 0), JEFFREYS).mean == 0.5
 
     def test_all_failures_with_jeffreys(self):
         for n in (1, 5, 50):
-            counts = CountData(n, n)
-            mean = posterior_mean(posterior(counts, JEFFREYS), counts, JEFFREYS)
+            mean = posterior(CountData(n, n), JEFFREYS).mean
             assert mean == pytest.approx((n + 0.5) / (n + 1.0), abs=1e-15)
 
     def test_weighted_average_decomposition(self):
@@ -90,16 +88,11 @@ class TestPosteriorMean:
             n = int(rng.integers(1, 5000))
             x = int(rng.integers(0, n + 1))
             prior = BetaParams(float(rng.uniform(0.1, 20)), float(rng.uniform(0.1, 20)))
-            counts = CountData(x, n)
-            direct = posterior_mean(posterior(counts, prior), counts, prior)
+            direct = posterior(CountData(x, n), prior).mean
             weighted = (n / (n + prior.a + prior.b)) * (x / n) + (
                 (prior.a + prior.b) / (n + prior.a + prior.b)
             ) * prior.mean
             assert abs(direct - weighted) <= 1e-12
-
-    def test_rejects_mismatched_params(self):
-        with pytest.raises(DomainError):
-            posterior_mean(BetaParams(1.0, 1.0), CountData(10, 100), JEFFREYS)
 
 
 class TestCredibleInterval:

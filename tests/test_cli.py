@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import math
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,29 @@ class TestOperators:
             "--min-inspected", "1", "--out-dir", str(tmp_path),
         ]) == 3
 
+    def test_key_flags_select_records_as_where_does(self, records_csv, tmp_path):
+        # the schedule is no grouping key here, and still selects operators 11 and 22
+        bodies = []
+        selections = {"flag": ["--schedule", "STD"], "where": ["--where", "schedule=STD"]}
+        for name, selection in selections.items():
+            out = tmp_path / name
+            assert main([
+                "operators", "--input", str(records_csv), "--group-by", "operator_id,nps",
+                "--min-inspected", "1", "--iterations", "300", "--resamples", "10",
+                "--out-dir", str(out), *selection,
+            ]) == 0
+            bodies.append(read_meta_and_rows(out / "operators.csv")[1])
+        assert bodies[0] == bodies[1]
+        assert [row.split(",")[0] for row in bodies[0][1:]] == ["11", "22"]
+
+    def test_key_flag_contradicting_where_is_config_error(self, records_csv, tmp_path, capsys):
+        assert main([
+            "operators", "--input", str(records_csv), "--where", "nps=4", "--nps", "2",
+            "--min-inspected", "1", "--out-dir", str(tmp_path / "out"),
+        ]) == 3
+        assert "contradicts" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.fixture()
     def matrix_calls(self, monkeypatch):
         """(function name, chains) of every A/B matrix the command computes."""
@@ -233,25 +258,6 @@ class TestComplexity:
         assert len(clusters) == 5
         assert clusters[1].startswith("A,")
         assert "business_share" in clusters[0]
-
-    def test_labels_with_delimiters_read_back(self, tmp_path):
-        counts = tmp_path / "quoted.csv"
-        counts.write_text('label,inspected,repaired\n"a, b",100,10\n"say ""hi""",200,5\n')
-        out = tmp_path / "quoted"
-        assert main([
-            "complexity", "--counts", str(counts), "--clusters", "2", "--out-dir", str(out),
-        ]) == 0
-        tables = sorted(out.glob("*.csv"))
-        assert [t.name for t in tables] == [
-            "clusters.csv", "complexity_scores.csv", "hellinger_matrix.csv",
-        ]
-        cells = set()
-        for table in tables:
-            _, body = read_meta_and_rows(table)
-            header, *rows = csv.reader(body)
-            assert rows and all(len(row) == len(header) for row in rows), table.name
-            cells.update(header, *rows)
-        assert {"a, b", 'say "hi"'} <= cells
 
     def test_top_one_single_cluster(self, counts_csv, tmp_path):
         out = tmp_path / "one"
@@ -742,6 +748,26 @@ MALFORMED_INPUTS = {
         {"specs.json": _SPECS, "actuals.json": _json_bytes({"hours": [0.0], "results": [0.9]})},
         ["rework", "--specs", "specs.json", "--actuals", "actuals.json"], 2, "actuals",
     ),
+    "actuals-result-not-binary": (
+        {"specs.json": _SPECS, "actuals.json": _json_bytes({"hours": [0.0], "results": [2]})},
+        ["rework", "--specs", "specs.json", "--actuals", "actuals.json"], 2, "actuals file",
+    ),
+    "actuals-lengths-differ": (
+        {"specs.json": _SPECS, "actuals.json": _json_bytes({"hours": [0.0, 1.0], "results": [1]})},
+        ["rework", "--specs", "specs.json", "--actuals", "actuals.json"], 2, "actuals file",
+    ),
+    "actuals-more-than-products": (
+        {"specs.json": _SPECS,
+         "actuals.json": _json_bytes({"hours": [0.0, 1.0], "results": [0, 1]})},
+        ["rework", "--specs", "specs.json", "--actuals", "actuals.json"], 2, "actuals file",
+    ),
+    "interval-inspected-beyond-the-solver": (
+        {}, ["interval", "--failed", "3", "--inspected", str(10**30)], 4, "sum to at most",
+    ),
+    "design-welds-empty": (
+        {"design.json": _json_bytes({"types": {"t1": {"failed": 1, "inspected": 10}}, "welds": []})},
+        ["forecast", "--design", "design.json"], 2, "design file",
+    ),
     "specs-efficiency-zero": (
         {"specs.json": _json_bytes({"products": [{**_PRODUCT, "efficiency": 0}]})},
         ["rework", "--specs", "specs.json"], 2, "product #1",
@@ -904,6 +930,69 @@ def test_written_files_are_pinned_and_reproducible(command, tmp_path):
     assert runs[1] == runs[0]
 
 
+# labels and key values that hold the delimiter, quotes and XML markup
+_TRICKY = ("a, b", 'say "hi"', "A&B", "<x>")
+
+
+def _tricky_lines(rest: str) -> str:
+    """One CSV line per tricky label: the label quoted, then `rest`."""
+    return "".join('"' + label.replace('"', '""') + '"' + rest + "\n" for label in _TRICKY)
+
+
+_TRICKY_INPUTS = {
+    "export.csv": (HEADER + "\n" + _tricky_lines(",BW,STD,2,Material A,0,1") * 3
+                   + _tricky_lines(",BW,STD,2,Material A,0,2")
+                   + '11,BW,STD,2,"Material, A",0,2\n').encode(),
+    "counts.csv": ("label,inspected,repaired\n" + _tricky_lines(",100,10")).encode(),
+    "design.json": _DESIGN,
+    "specs.json": _SPECS,
+}
+
+
+def _run_written(command, out) -> None:
+    """Run the WRITTEN_FILES argv of `command` on _TRICKY_INPUTS into `out`."""
+    for name, content in _TRICKY_INPUTS.items():
+        (out.parent / name).write_bytes(content)
+    argv = [str(out.parent / arg) if arg in _TRICKY_INPUTS else arg for arg in WRITTEN_FILES[command][0]]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_tables_read_back(command, tmp_path):
+    """Every CSV artifact reads back with csv.reader into rows as wide as its header."""
+    out = tmp_path / "out"
+    _run_written(command, out)
+    tables = sorted(out.glob("*.csv"))
+    assert [t.name for t in tables] == [n for n in WRITTEN_FILES[command][1] if n.endswith(".csv")]
+    cells = set()
+    for table in tables:
+        _, body = read_meta_and_rows(table)
+        header, *rows = csv.reader(body)
+        assert rows and all(len(row) == len(header) for row in rows), table.name
+        cells.update(header, *rows)
+    if command in ("operators", "complexity"):
+        assert set(_TRICKY) <= cells
+    if command == "summarize":
+        assert "Material, A" in cells
+
+
+def test_svg_labels_are_escaped(tmp_path):
+    """All four SVG kinds parse as XML, and labels holding &, < or > keep their text."""
+    texts = set()
+    svgs = []
+    for command in ("operators", "complexity", "forecast", "rework"):
+        out = tmp_path / command
+        _run_written(command, out)
+        for path in out.glob("*.svg"):
+            svgs.append(path.name)
+            root = ElementTree.parse(path).getroot()
+            texts.update(node.text for node in root.iter("{http://www.w3.org/2000/svg}text"))
+    assert sorted(svgs) == [
+        "control_chart.svg", "dendrogram.svg", "forecast_histogram.svg", "operators_boxplot.svg",
+    ]
+    assert set(_TRICKY) <= texts
+
+
 # a value other than the default for every option: (flag arguments, config value)
 OPTION_SAMPLES = {
     "input": (["--input", "export.csv"], "export.csv"),
@@ -1062,4 +1151,116 @@ def test_mutated_export_keeps_the_exit_code_contract(command, export, tmp_path_f
     # a table that cannot be read, or that holds no operator, never succeeds
     unreadable = ("empty", "drop-column", "non-utf8", "unterminated-quote", "oversized-field")
     if mutation in unreadable or (mutation, command) == ("header-only", "operators"):
+        assert code != 0, mutation
+
+
+# ------------------------------------------------------ fuzzed data files
+
+#: (argv with file names standing for their paths, valid documents by file name);
+#: a counts table is a list of rows by column name
+_DOCUMENT_RUNS = {
+    "interval": (["interval", "--config", "config.json"], {
+        "config.json": {"failed": 3, "inspected": 40, "alpha": 0.1, "prior": [0.5, 0.5],
+                        "classical": True},
+    }),
+    "complexity": (["complexity", "--counts", "counts.csv"], {
+        "counts.csv": [{"label": "a", "inspected": 10, "repaired": 1, "total": 12},
+                       {"label": "b", "inspected": 20, "repaired": 4, "total": 20}],
+    }),
+    "forecast": (["forecast", "--design", "design.json", "--iterations", "50"], {
+        "design.json": {"types": {"t1": {"failed": 1, "inspected": 10}},
+                        "welds": [{"key": "t1", "count": 3},
+                                  {"key": "t2", "failed": 2, "inspected": 30}]},
+    }),
+    "rework": (["rework", "--specs", "specs.json", "--actuals", "actuals.json",
+                "--iterations", "50"], {
+        "specs.json": {"products": [_PRODUCT, {**_PRODUCT, "key": "t1", "efficiency": 1.5}]},
+        "actuals.json": {"hours": [1.5], "results": [1]},
+    }),
+}
+
+
+def _paths(node, path=()):
+    """The path of every value below `node`, by key or list index."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _encode(name: str, document) -> bytes:
+    if not name.endswith(".csv"):
+        return json.dumps(document).encode()
+    text = io.StringIO()
+    header = list(dict.fromkeys(key for row in document for key in row))
+    writer = csv.DictWriter(text, header, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(document)
+    return text.getvalue().encode()
+
+
+@st.composite
+def mutated_documents(draw, command):
+    """(mutation, file name, file bytes): one data file of a valid run with one mutation."""
+    name = draw(st.sampled_from(sorted(_DOCUMENT_RUNS[command][1])))
+    document = json.loads(json.dumps(_DOCUMENT_RUNS[command][1][name]))
+    mutation = draw(st.sampled_from([
+        "drop-key", "swap-type", "nan", "infinity", "negative", "huge", "empty", "non-utf8",
+    ]))
+    if mutation in ("empty", "non-utf8"):
+        data = b"" if mutation == "empty" else _encode(name, document)
+        if mutation == "non-utf8":
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + b"\xff" + data[at:]
+        return mutation, name, data
+    if name.endswith(".csv"):  # a column of the table, in every row
+        column = draw(st.sampled_from(sorted(document[0])))
+        targets = [(row, column) for row in document]
+    else:
+        *parents, key = draw(st.sampled_from(list(_paths(document))))
+        if mutation == "drop-key":
+            # a key of the innermost mapping on the path
+            while parents and not isinstance(key, str):
+                *parents, key = parents
+        container = document
+        for step in parents:
+            container = container[step]
+        targets = [(container, key)]
+    for container, key in targets:
+        value = container[key]
+        if mutation == "drop-key":
+            del container[key]
+        elif mutation == "swap-type":
+            container[key] = "text" if not isinstance(value, str) else [value]
+        else:
+            container[key] = {"nan": math.nan, "infinity": math.inf, "huge": 10**30,
+                              "negative": -abs(value) - 1 if isinstance(value, (int, float))
+                              else -1}[mutation]
+    return mutation, name, _encode(name, document)
+
+
+@pytest.mark.parametrize("command", sorted(_DOCUMENT_RUNS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mutated_data_file_keeps_the_exit_code_contract(command, data, tmp_path_factory):
+    """A run either succeeds, or exits 2, 3 or 4 with one error line and writes nothing."""
+    mutation, mutated, content = data.draw(mutated_documents(command))
+    argv, documents = _DOCUMENT_RUNS[command]
+    work = tmp_path_factory.mktemp("fuzz")
+    for name, document in documents.items():
+        (work / name).write_bytes(content if name == mutated else _encode(name, document))
+    out = work / "out"
+    argv = [str(work / arg) if arg in documents else arg for arg in argv]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out-dir", str(out)])
+    err = stderr.getvalue()
+    if code == 0:
+        assert err == "" and sorted(p.name for p in out.iterdir()) == WRITTEN_FILES[command][1]
+    else:
+        assert code in (2, 3, 4)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and not out.exists()
+    if mutation in ("empty", "non-utf8"):
         assert code != 0, mutation

@@ -12,7 +12,6 @@ from weldqc.complexity import (
     Merge,
     _hellinger_pairs,
     agglomerative_cluster,
-    complexity_order,
     complexity_scores,
     cut,
     dendrogram_segments,
@@ -193,7 +192,10 @@ class TestHellingerKernel:
         posteriors = [wide_params(rng) for _ in range(30)]
         posteriors += [near_params(rng, p) for p in posteriors[:10]]
         values = distance_matrix(posteriors).values
-        order = complexity_order(posteriors)
+        order = sorted(
+            range(len(posteriors)),
+            key=lambda i: (posteriors[i].median, posteriors[i].variance, i),
+        )
         expected = {order[0]: 0.0}
         total = 0.0
         for previous, current in zip(order, order[1:]):
@@ -273,24 +275,31 @@ class TestProfileMatrix:
         assert peak < 4 * n * n * 8
 
 
+def score_order(posteriors):
+    """Indices by ascending raw score, ties in input order: the walk order of the scores."""
+    scores = complexity_scores(posteriors)
+    return sorted(range(len(scores)), key=lambda i: (scores[i].raw, i))
+
+
 class TestOrderingAndScores:
     def test_reference_order(self):
         medians = [p.median for p in eight_posteriors()]
         np.testing.assert_allclose(medians, EIGHT_PRODUCT_MEDIANS, atol=5e-4)
-        order = complexity_order(eight_posteriors())
+        order = score_order(eight_posteriors())
         assert [i + 1 for i in order] == [5, 6, 2, 1, 8, 7, 3, 4]
 
     def test_single_product(self):
-        assert complexity_order([BetaParams(2.5, 98.5)]) == [0]
+        assert score_order([BetaParams(2.5, 98.5)]) == [0]
 
     def test_identical_products_keep_input_order(self):
         p = BetaParams(2.5, 98.5)
-        assert complexity_order([p, p, p]) == [0, 1, 2]
+        assert [s.raw for s in complexity_scores([p, p, p])] == [0.0, 0.0, 0.0]
+        assert score_order([p, p, p]) == [0, 1, 2]
 
     def test_median_tie_broken_by_variance(self):
         narrow = BetaParams(50.0, 50.0)
         wide = BetaParams(2.0, 2.0)  # same median 0.5, more spread
-        assert complexity_order([wide, narrow]) == [1, 0]
+        assert score_order([wide, narrow]) == [1, 0]
 
     def test_reference_scores(self):
         scores = complexity_scores(eight_posteriors())
@@ -486,4 +495,3 @@ class TestExports:
         assert leaf_order(tree) == list(range(n - 1, 1, -1)) + [0, 1]
         assert len(dendrogram_segments(tree)) == 3 * (n - 1)
         assert dendrogram_svg(tree).count("<line") == 3 * (n - 1)
-        assert tree.members(2 * n - 2) == frozenset(range(n))

@@ -142,7 +142,7 @@ class TestSimulate:
 class TestQuantileTable:
     def test_constant_samples(self):
         result = simulate_project(single_type_design(1, BetaParams(1e9, 1e9)), iterations=25, seed=8)
-        table = quantile_table(result)
+        table = quantile_table(result.samples)
         values = [v for _, v in table]
         assert max(values) - min(values) < 1e-3
 

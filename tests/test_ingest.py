@@ -388,8 +388,8 @@ class TestFilters:
         assert filter_summaries(summarize(Counter([record()])), min_inspected=10) == []
 
     def test_key_filter(self):
-        summaries = summarize(Counter([record(nps="2"), record(nps="4")]))
-        kept = filter_summaries(summaries, key_filter={"nps": "2"})
+        # a key is selected on the records, before they are summarized
+        kept = summarize(filter_records(Counter([record(nps="2"), record(nps="4")]), nps="2"))
         assert len(kept) == 1 and kept[0].key.nps == "2"
 
 

@@ -8,14 +8,12 @@ from weldqc.errors import DomainError
 from weldqc.mcmc import (
     ChainConfig,
     acf,
-    acf_series,
     default_initial,
     empirical_five_number,
     empirical_interval,
     residual_metrics,
     sample_chains,
     sample_posterior,
-    trace_series,
 )
 from weldqc.streams import substream
 
@@ -275,10 +273,3 @@ class TestResiduals:
         with pytest.raises(DomainError):
             residual_metrics([ci], [ci, ci])
 
-
-def test_series_exports():
-    chain = sample_posterior(COUNTS, JEFFREYS, ChainConfig(iterations=500, burn_in=0, seed=4))
-    trace = trace_series(chain)
-    assert trace[0][0] == 1 and len(trace) == 500
-    lags = acf_series(chain, 10)
-    assert lags[0] == (0, 1.0)

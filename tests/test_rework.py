@@ -11,7 +11,6 @@ from weldqc.rework import (
     ProductSpec,
     control_chart,
     control_limits,
-    expected_rework_hours,
     fundamental_matrix,
     simulate_total_rework,
     transition_matrix,
@@ -25,6 +24,12 @@ from refdata import (
     REWORK_QUANTILES,
     REWORK_SCENARIOS,
 )
+
+
+def plug_in_hours(p, specs):
+    """Per-product eta_i * t_i * (N_1i - 1) at fixed rework probabilities p."""
+    visits = fundamental_matrix(transition_matrix(p))[0]
+    return np.array([s.efficiency * s.estimated_hours for s in specs]) * (visits - 1.0)
 
 
 def example_specs():
@@ -97,24 +102,21 @@ class TestFundamentalMatrix:
 
 class TestExpectedHours:
     def test_no_rework_costs_nothing(self):
-        _, total = expected_rework_hours([0.0] * 10, example_specs())
-        assert total == 0.0
+        assert plug_in_hours([0.0] * 10, example_specs()).sum() == 0.0
 
     def test_single_product_arithmetic(self):
         spec = ProductSpec(posterior=BetaParams(1, 1), estimated_hours=3.0, efficiency=1.2)
-        per_product, total = expected_rework_hours([0.5], [spec])
-        assert per_product[0] == pytest.approx(3.6)
-        assert total == pytest.approx(1.2 * 3.0 * (2.0 - 1.0))
+        assert plug_in_hours([0.5], [spec])[0] == pytest.approx(1.2 * 3.0 * (2.0 - 1.0))
 
     def test_linear_in_estimated_hours(self):
+        # the same seed draws the same probabilities, so every sample doubles
         specs = example_specs()
         doubled = [
             ProductSpec(s.posterior, 2 * s.estimated_hours, s.efficiency, s.key) for s in specs
         ]
-        probs = [0.1] * len(specs)
-        _, total = expected_rework_hours(probs, specs)
-        _, total2 = expected_rework_hours(probs, doubled)
-        assert total2 == pytest.approx(2 * total)
+        total = simulate_total_rework(specs, iterations=200, seed=3).samples
+        total2 = simulate_total_rework(doubled, iterations=200, seed=3).samples
+        np.testing.assert_allclose(total2, 2 * total, rtol=1e-12)
 
 
 class TestSimulate:
@@ -138,8 +140,7 @@ class TestSimulate:
     def test_convexity_direction(self):
         # 1/(1-p) is convex, so the MC mean dominates the plug-in-mean value
         specs = example_specs()
-        means = [s.posterior.mean for s in specs]
-        _, plug_in = expected_rework_hours(means, specs)
+        plug_in = plug_in_hours([s.posterior.mean for s in specs], specs).sum()
         estimate = simulate_total_rework(specs, iterations=20_000, seed=2)
         assert estimate.mean >= plug_in - 0.05
 

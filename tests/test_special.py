@@ -117,7 +117,7 @@ def _reference_quantile(q, a, b):
             return best_x
         step_ok = False
         try:
-            pdf = special.beta_pdf(x, a, b)
+            pdf = math.exp(special.beta_log_pdf(x, a, b))
         except (OverflowError, DomainError):
             pdf = 0.0
         if pdf > 0.0 and math.isfinite(pdf):
@@ -182,11 +182,19 @@ class TestBetaQuantile:
         with pytest.raises(DomainError):
             special.beta_quantile(-0.1, 2.0, 2.0)
 
+    @pytest.mark.parametrize("shapes", [(3.5, 1e30), (5e17, 5e17), (1.0, math.inf)])
+    def test_rejects_shapes_beyond_the_continued_fraction(self, shapes):
+        # sqrt(a + b) terms: at 1e30 the solver would run for days, at 1e18 it overflows
+        with pytest.raises(DomainError, match="sum to at most"):
+            special.beta_quantile(0.5, *shapes)
+        with pytest.raises(DomainError, match="sum to at most"):
+            special.beta_cdf(0.5, *shapes)
+
 
 def test_beta_pdf_integrates_to_cdf():
     a, b = 3.5, 52.5
     for x in (0.02, 0.08, 0.2):
-        numeric, _ = integrate.quad(lambda t: special.beta_pdf(t, a, b), 0.0, x)
+        numeric, _ = integrate.quad(lambda t: math.exp(special.beta_log_pdf(t, a, b)), 0.0, x)
         assert special.beta_cdf(x, a, b) == pytest.approx(numeric, rel=1e-8)
 
 
