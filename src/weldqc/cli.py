@@ -11,8 +11,9 @@ Handlers compute and render everything and touch no file: each returns its
 artifacts as (file name, payload) pairs, and its stdout line with `{out}` for
 the output directory.  `main` is the only writer: one report header, then each
 artifact by the writer its suffix names (.csv takes (header, rows), where rows
-may be any iterable, .json a mapping, .svg the text).  An artifact name taken
-by a directory stops the run before any artifact is written.
+may be any iterable and a matrix comes as `report.matrix_lines`, .json a
+mapping, .svg the text).  An artifact name taken by a directory stops the run
+before any artifact is written.
 
 Exit codes: 0 success, 2 input/schema error, 3 configuration error,
 4 numeric/domain error.
@@ -370,7 +371,7 @@ def cmd_operators(resolved: dict) -> tuple[Artifacts, str]:
         ("operators.csv", (header, rows)),
         ("ab_matrix.csv", (
             ["operator_id"] + ids,
-            ([ident] + values.tolist() for ident, values in zip(ids, matrix)),
+            report.matrix_lines(ids, matrix),
         )),
         ("operators_boxplot.svg", render.boxplot_svg(ids, [five for _, _, five in ranked])),
     ], f"ranked {len(ranked)} operators; outputs in {{out}}"
@@ -473,7 +474,7 @@ def cmd_complexity(resolved: dict) -> tuple[Artifacts, str]:
         )),
         ("hellinger_matrix.csv", (
             ["label"] + labels,
-            ([label] + values.tolist() for label, values in zip(labels, matrix.values)),
+            report.matrix_lines(labels, matrix.values),
         )),
         ("dendrogram.json", complexity.tree_to_dict(tree)),
         ("clusters.csv", (

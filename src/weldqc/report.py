@@ -16,11 +16,19 @@ import os
 import re
 import tempfile
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from . import __version__
 
 DECIMALS = 6
+_UNITS = 10**DECIMALS
+#: cells per block of `matrix_lines`: its transient arrays are a few bytes per cell
+_BLOCK_CELLS = 16384
+#: below 10, v * 1e6 is within 1e-9 of its exact value; a scaled cell this close
+#: to a half unit may round either way, so '%.6f' decides it
+_TIE = 1e-8
 
 
 #: bool and None cells are written as their JSON text, not as Python spells them
@@ -97,6 +105,54 @@ def _meta_comment_lines(info: Mapping) -> list[str]:
     ]
 
 
+def _block_text(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a block of cells as 'd.dddddd,' per cell in one uint8 array,
+    and a mask of the cells whose text that is.
+
+    A cell v in [0, 10) is rounded as rint(v * 1e6) and its digits are taken
+    with integer arithmetic.  The mask leaves out every cell whose rounding
+    that cannot prove: a scaled cell within _TIE of a half unit, NaN, an
+    infinity, a negative value, -0.0 and a value that rounds to 10 or more.
+    """
+    fits = (block >= 0.0) & (block < 10.0) & ~np.signbit(block)
+    scaled = np.where(fits, block, 0.0) * _UNITS
+    units = np.rint(scaled)
+    fits &= (units < 10 * _UNITS) & (np.abs(np.abs(scaled - units) - 0.5) > _TIE)
+    units = units.astype(np.uint32)  # below 10**7
+    text = np.empty(block.shape + (DECIMALS + 3,), dtype=np.uint8)
+    text[..., 1] = ord(".")
+    text[..., -1] = ord(",")
+    for place in range(DECIMALS + 1, 1, -1):
+        tens = units // 10
+        text[..., place] = units - 10 * tens + ord("0")
+        units = tens
+    text[..., 0] = units + ord("0")
+    return text.reshape(len(block), -1), fits
+
+
+def matrix_lines(labels: Sequence, values: np.ndarray) -> Iterator[str]:
+    """The CSV line of each matrix row: `_format_row([label] + row.tolist())`.
+
+    The cells are formatted a block of rows at a time by `_block_text`, so
+    its arrays stay small next to the matrix; '%.6f' writes each cell outside
+    its mask.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    labels = list(labels)
+    step = max(1, _BLOCK_CELLS // values.shape[1])
+    for start in range(0, len(values), step):
+        block = values[start : start + step]
+        text, fits = _block_text(block)
+        for label, row, row_text, row_fits in zip(labels[start:], block, text, fits):
+            cells = row_text[:-1].tobytes().decode("ascii")
+            if not row_fits.all():
+                cells = cells.split(",")
+                for j in np.flatnonzero(~row_fits):
+                    cells[j] = "%.6f" % row[j]
+                cells = ",".join(cells)
+            yield fmt(label) + "," + cells
+
+
 def write_text(path: Path, text: str) -> None:
     """Write via a temp file in the same directory, then atomic rename.
 
@@ -125,10 +181,14 @@ def write_table(
     rows: Iterable[Iterable],
     info: Mapping,
 ) -> None:
-    """Meta comment lines, the header, then one line per row of any iterable."""
+    """Meta comment lines, the header, then one line per row of any iterable.
+
+    A row that is a str is taken as its line, already formatted (as
+    `matrix_lines` yields them); any other row is a sequence of cells.
+    """
     lines = _meta_comment_lines(info)
     lines.append(_format_row(header))
-    lines.extend(map(_format_row, rows))
+    lines.extend(row if isinstance(row, str) else _format_row(row) for row in rows)
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -139,7 +199,12 @@ def write_json(path: Path, payload: Mapping, info: Mapping) -> None:
 
 
 def write_svg(path: Path, svg: str, info: Mapping) -> None:
-    comment = "<!-- " + " | ".join(
-        line.lstrip("# ") for line in _meta_comment_lines(info)
-    ) + " -->\n"
+    """The SVG after one XML comment holding the meta lines.
+
+    XML forbids "--" in a comment, and only the config JSON can hold it: the
+    second "-" of each is written as the JSON escape \\u002d, which decodes to
+    the same config.
+    """
+    text = " | ".join(line.lstrip("# ") for line in _meta_comment_lines(info))
+    comment = "<!-- " + text.replace("--", "-\\u002d") + " -->\n"
     write_text(path, comment + svg)

@@ -993,6 +993,30 @@ def test_svg_labels_are_escaped(tmp_path):
     assert set(_TRICKY) <= texts
 
 
+def test_svg_comment_survives_double_hyphens(tmp_path):
+    """A config value holding "--" leaves every SVG parseable XML, and the SVG's
+    comment decodes to the same config as the CSV header."""
+    (tmp_path / "design.json").write_bytes(_DESIGN)
+    (tmp_path / "export.csv").write_text("\n".join(
+        [HEADER] + [f"11,BW,STD,{nps},x--y,0,{status}" for nps in (2, 4) for status in (1, 1, 2)]
+    ) + "\n")
+    runs = {
+        "a--b": ["forecast", "--design", str(tmp_path / "design.json"), "--iterations", "100"],
+        "where": ["complexity", "--input", str(tmp_path / "export.csv"), "--where", "material=x--y"],
+    }
+    for out, argv in runs.items():
+        assert main(argv + ["--out-dir", str(tmp_path / out)]) == 0
+        svgs = list((tmp_path / out).glob("*.svg"))
+        assert len(svgs) == 1
+        ElementTree.parse(svgs[0])
+        comment = svgs[0].read_text().split(" -->", 1)[0]
+        svg_config = comment.split(" | ")[1].removeprefix("config: ")
+        table = next((tmp_path / out).glob("*.csv"))
+        csv_config = read_meta_and_rows(table)[0][1].removeprefix("# config: ")
+        assert "--" in csv_config and "--" not in svg_config
+        assert json.loads(svg_config) == json.loads(csv_config)
+
+
 # a value other than the default for every option: (flag arguments, config value)
 OPTION_SAMPLES = {
     "input": (["--input", "export.csv"], "export.csv"),

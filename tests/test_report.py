@@ -1,11 +1,15 @@
 import json
 import os
 import stat
+import tracemalloc
+from unittest import mock
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from weldqc import report
 from weldqc.errors import ConfigError
@@ -33,7 +37,8 @@ _FLOATS = st.one_of(
     st.integers(-10**9, 10**9).map(lambda n: n / 10**7),
 )
 _CELL = st.one_of(
-    st.text(st.characters(exclude_characters="\n\r"), max_size=8),
+    # codec="utf-8", as st.text() draws by default: UTF-8 holds no lone surrogate
+    st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=8),
     st.integers(),
     _FLOATS,
     st.booleans(),
@@ -44,6 +49,20 @@ _CELL = st.one_of(
     st.booleans().map(np.bool_),
 )
 _ROW = st.lists(_CELL, max_size=8)
+
+_MATRIX_CELLS = st.one_of(
+    st.floats(),
+    st.floats(0.0, 10.0),
+    st.floats(10.0, 1e20),
+    st.sampled_from([
+        float("nan"), float("inf"), -float("inf"), -0.0, 0.0, -4e-7, 5e-7, 1e-300,
+        9.9999994999, 9.9999995, 10.0, 1e15,
+    ]),
+    # k/128 is a six-decimal tie held exactly in binary for odd k
+    st.integers(0, 1300).map(lambda k: k / 128),
+    st.integers(0, 10**7).map(lambda n: n / 10**6 + 5e-7),
+)
+_LABEL = st.one_of(st.text(max_size=6), st.sampled_from(["a,b", 'say "hi"', "two\nlines", "\r"]))
 
 
 class TestFormatting:
@@ -71,6 +90,19 @@ class TestFormatting:
         assert lines[5:] == [",".join(map(report.fmt, row)) for row in rows] + [""]
         assert lines[5:-1] == [",".join(map(_cell_text, row)) for row in rows]
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), block_cells=st.integers(1, 40))
+    def test_matrix_lines_match_format_row(self, data, block_cells):
+        shape = data.draw(st.tuples(st.integers(0, 6), st.integers(1, 6)))
+        values = data.draw(arrays(np.float64, shape, elements=_MATRIX_CELLS))
+        labels = data.draw(st.lists(_LABEL, min_size=shape[0], max_size=shape[0]))
+        # small blocks, so one matrix spans several
+        with mock.patch.object(report, "_BLOCK_CELLS", block_cells):
+            lines = list(report.matrix_lines(labels, values))
+        assert lines == [
+            report._format_row([label] + row.tolist()) for label, row in zip(labels, values)
+        ]
+
     def test_round_floats_recurses(self):
         payload = {"a": 0.1234567891, "b": [1.00000049, {"c": 2.5}], "d": "x"}
         rounded = report.round_floats(payload)
@@ -90,6 +122,12 @@ class TestWriters:
         assert lines[2] == "# seed: 3"
         assert lines[4] == "a,b"
         assert lines[5] == "1,0.500000"
+
+    def test_unencodable_cell_leaves_no_file(self, tmp_path):
+        info = report.meta("demo", {}, seed=None)
+        with pytest.raises(UnicodeEncodeError):
+            report.write_table(tmp_path / "t.csv", ["h"], [["\ud800"]], info)
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_meta_and_rounding(self, tmp_path):
         info = report.meta("demo", {}, seed=None)
@@ -116,12 +154,41 @@ class TestWriters:
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
     def test_svg_carries_meta_comment(self, tmp_path):
-        info = report.meta("demo", {"k": 1}, seed=0)
+        # single hyphens, as in "a-b" and -1, are written as they are
+        info = report.meta("demo", {"k": "a-b", "n": -1}, seed=0)
         path = tmp_path / "t.svg"
         report.write_svg(path, "<svg/>", info)
+        assert path.read_text() == (
+            '<!-- command: demo | config: {"k":"a-b","n":-1} | seed: 0 | '
+            f"version: {report.__version__} -->\n<svg/>"
+        )
+
+
+    def test_matrix_table_memory_is_bounded_by_its_text(self, tmp_path):
+        n = 300
+        values = np.random.default_rng(9).random((n, n))
+        labels = [str(i) for i in range(n)]
+        path = tmp_path / "m.csv"
+        info = report.meta("demo", {}, seed=None)
+        tracemalloc.start()
+        try:
+            report.write_table(path, ["label"] + labels, report.matrix_lines(labels, values), info)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the text is held three times at most (its lines, their join and its
+        # encoding); an n x n float temporary alone would add n * n * 8 bytes
+        assert peak < 3.5 * path.stat().st_size
+
+    def test_svg_comment_escapes_double_hyphens(self, tmp_path):
+        config = {"out_dir": "a--b", "where": ["material=x---y"]}
+        path = tmp_path / "t.svg"
+        report.write_svg(path, "<svg/>", report.meta("demo", config, seed=0))
         text = path.read_text()
-        assert text.startswith("<!-- command: demo")
-        assert text.endswith("<svg/>")
+        ElementTree.fromstring(text)
+        comment = text[len("<!-- ") : text.index(" -->")]
+        assert "--" not in comment
+        assert json.loads(comment.split(" | ")[1].removeprefix("config: ")) == config
 
 
 class TestRenderings:

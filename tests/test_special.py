@@ -9,6 +9,32 @@ from weldqc import special
 from weldqc.errors import DomainError
 
 
+#: shapes that start below, just below, at and above the shift threshold of 10
+GAP_GRID = (1e-3, 0.5, 1.0, 9.5, 9.999999999, 10.0, 10.5, 1e5, 1e11)
+
+
+def masked_loop_gap(x, y, half_diff):
+    """`special.log_gamma_gap` as a loop that masks, shifts and re-tests every
+    pair on each step: the reference the compact shift must equal bit for bit."""
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    mid = 0.5 * (x + y)
+    d = np.abs(half_diff)
+    gap = np.zeros(mid.shape)
+    while (small := lo < special._STIRLING_MIN).any():
+        gap[small] += 0.5 * special._log_ends(
+            lo[small], hi[small], mid[small], d[small] / mid[small]
+        )
+        lo[small] += 1.0
+        hi[small] += 1.0
+        mid[small] += 1.0
+    t = d / mid
+    near = np.minimum(t, 0.5)
+    spread = np.where(t < 0.5, 2.0 * np.arctanh(near), np.log(hi / lo))
+    gap -= 0.5 * ((mid - 0.5) * special._log_ends(lo, hi, mid, t) + d * spread)
+    remainder = special._stirling_remainder
+    return gap + (remainder(mid) - 0.5 * (remainder(lo) + remainder(hi)))
+
+
 class TestLogGamma:
     def test_known_values(self):
         assert special.log_gamma(1.0) == 0.0
@@ -71,6 +97,25 @@ class TestStirlingForms:
                     mpmath.loggamma((X + Y) / 2) - (mpmath.loggamma(X) + mpmath.loggamma(Y)) / 2
                 )
                 assert abs(gi - expected) <= 1e-13 * abs(expected) + 1e-17, (xi, yi)
+
+    def test_log_gamma_gap_equals_masked_loop(self):
+        grid = np.array(GAP_GRID)
+        gx, gy = (a.ravel() for a in np.meshgrid(grid, grid))
+        # t = |x - y|/(x + y) is 1/2 at x = 3y: pairs on both sides of it and at it
+        factors = 3.0 * (1.0 + np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9]))
+        tx, ty = np.outer(factors, grid).ravel(), np.tile(grid, factors.size)
+        x = np.concatenate([gx, tx, ty])
+        y = np.concatenate([gy, ty, tx])
+        t = np.abs(x - y) / (x + y)
+        assert (t < 0.5).any() and (t == 0.5).any() and (t > 0.5).any()
+        order = np.random.default_rng(6).permutation(x.size)
+        for x, y in ((x, y), (x[order], y[order])):
+            got = special.log_gamma_gap(x, y, 0.5 * (x - y))
+            want = masked_loop_gap(x, y, 0.5 * (x - y))
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            equal = x == y
+            assert np.all(got[equal] == 0.0) and not np.signbit(got[equal]).any()
 
     def test_log_gamma_gap_of_identical_arguments_is_zero(self):
         x = np.array([0.5, 3.0, 9.75, 10.0, 2.5e3, 1e9])
