@@ -137,6 +137,13 @@ _positive = _number(lambda x: 0 < x < math.inf, "a finite number > 0")
 _probability = _number(lambda x: 0 < x < 1, "a number strictly between 0 and 1")
 
 
+def _path(value) -> str:
+    """A path as text; one the file system cannot encode (a lone surrogate) is rejected."""
+    path = str(value)
+    os.fsencode(path)
+    return path
+
+
 def _at_least(low: int):
     def check(value) -> int:
         value = _integer(value)
@@ -182,7 +189,7 @@ class _CommaList(argparse.Action):
 
 #: options of every command, besides --config
 _COMMON = {
-    "out_dir": Option(None, str, {"help": f"output directory (default ${OUT_DIR_ENV} or .)"}),
+    "out_dir": Option(None, _path, {"help": f"output directory (default ${OUT_DIR_ENV} or .)"}),
 }
 
 
@@ -334,7 +341,7 @@ def cmd_operators(resolved: dict) -> tuple[Artifacts, str]:
 
     prior = BetaParams(*resolved["prior"])
     seed = resolved["seed"]
-    chains = []
+    ranked = []
     for index, summary in enumerate(selected):
         counts = CountData(summary.repaired_welds, summary.inspected_welds)
         config = mcmc.ChainConfig(
@@ -343,16 +350,10 @@ def cmd_operators(resolved: dict) -> tuple[Artifacts, str]:
             proposal_sd=resolved["proposal_sd"],
             seed=derive_seed(seed, index),
         )
-        chains.append((summary, mcmc.sample_posterior(counts, prior, config)))
-
-    # ranked worst-first: descending median fraction nonconforming
-    ranked = sorted(
-        (
-            (summary, chain, mcmc.empirical_five_number(chain))
-            for summary, chain in chains
-        ),
-        key=lambda item: -item[2].median,
-    )
+        chain = mcmc.sample_posterior(counts, prior, config)
+        ranked.append((summary, chain, mcmc.empirical_five_number(chain)))
+    # worst-first: descending median fraction nonconforming
+    ranked.sort(key=lambda item: -item[2].median)
     ranked_chains = [chain for _, chain, _ in ranked]
     if resolved["resamples"] is None:
         matrix = ab.exact_matrix(ranked_chains)
@@ -436,7 +437,7 @@ def cmd_complexity(resolved: dict) -> tuple[Artifacts, str]:
         posterior(CountData(r["repaired"], r["inspected"]), prior) for r in rows
     ]
     labels = [r["label"] for r in rows]
-    scores = complexity.complexity_scores(posteriors, labels)
+    scores = complexity.complexity_scores(posteriors)
     matrix = complexity.distance_matrix(posteriors, labels)
     cluster_input = (
         complexity.profile_distance_matrix(matrix)
@@ -590,12 +591,7 @@ def _load_actuals(path: str | None, n_products: int) -> tuple[list[float], list[
     with _fields("actuals file"):
         hours = [_amount(h) for h in document.get("hours", [])]
         results = [_integer(r) for r in document.get("results", [])]
-    if any(r not in (0, 1) for r in results):
-        raise SchemaError("actuals file results must be 0 (pass) or 1 (fail/reworked)")
-    if len(hours) != len(results):
-        raise SchemaError(f"actuals file gives {len(hours)} hours for {len(results)} results")
-    if len(hours) > n_products:
-        raise SchemaError(f"actuals file gives {len(hours)} outcomes for {n_products} products")
+        rework.check_actuals(hours, results, n_products)
     return hours, results
 
 
@@ -648,7 +644,7 @@ def cmd_rework(resolved: dict) -> tuple[Artifacts, str]:
 # -------------------------------------------------------------------- parser
 
 
-_INPUT = Option(_REQUIRED, str)
+_INPUT = Option(_REQUIRED, _path)
 _DELIMITER = Option(",", _choice(",", "tab", ";", "\\t", "\t"))
 _WHERE = Option([], _where, {"action": "append", "metavar": "FIELD=VALUE"})
 _GROUP_BY = Option(list(DEFAULT_GROUP_BY), _grouping, {"action": _CommaList})
@@ -696,8 +692,8 @@ COMMANDS: dict[str, tuple[Callable[[dict], tuple[Artifacts, str]], str, dict[str
         ),
     }),
     "complexity": (cmd_complexity, "score and cluster product complexity", {
-        "input": Option(None, str, {"help": "raw inspection export"}),
-        "counts": Option(None, str, {"help": "counts table: label,inspected,repaired[,total]"}),
+        "input": Option(None, _path, {"help": "raw inspection export"}),
+        "counts": Option(None, _path, {"help": "counts table: label,inspected,repaired[,total]"}),
         "delimiter": _DELIMITER,
         "where": _WHERE,
         "group_by": _GROUP_BY,
@@ -707,7 +703,7 @@ COMMANDS: dict[str, tuple[Callable[[dict], tuple[Artifacts, str]], str, dict[str
         "prior": _PRIOR,
     }),
     "forecast": (cmd_forecast, "Monte Carlo project nonconformance forecast", {
-        "design": Option(_REQUIRED, str, {"help": "JSON project design file"}),
+        "design": Option(_REQUIRED, _path, {"help": "JSON project design file"}),
         "iterations": Option(forecast.DEFAULT_ITERATIONS, _at_least(1)),
         "seed": _SEED,
         "mode": Option("average", _choice("average", "mixture")),
@@ -715,8 +711,8 @@ COMMANDS: dict[str, tuple[Callable[[dict], tuple[Artifacts, str]], str, dict[str
         "keep_samples": Option(True, _flag, {"action": "store_false"}, "--no-samples"),
     }),
     "rework": (cmd_rework, "rework man-hour estimate and control chart", {
-        "specs": Option(_REQUIRED, str, {"help": "JSON product specs file"}),
-        "actuals": Option(None, str, {"help": "JSON actual hours/results file"}),
+        "specs": Option(_REQUIRED, _path, {"help": "JSON product specs file"}),
+        "actuals": Option(None, _path, {"help": "JSON actual hours/results file"}),
         "iterations": Option(rework.DEFAULT_ITERATIONS, _at_least(1)),
         "seed": _SEED,
         "prior": _PRIOR,

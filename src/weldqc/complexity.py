@@ -69,14 +69,6 @@ class HellingerMatrix:
         return len(self.labels)
 
 
-def _default_labels(count: int, labels: Sequence[str] | None) -> tuple[str, ...]:
-    if labels is None:
-        return tuple(str(i + 1) for i in range(count))
-    if len(labels) != count:
-        raise DomainError(f"got {len(labels)} labels for {count} items")
-    return tuple(str(label) for label in labels)
-
-
 def distance_matrix(
     posteriors: Sequence[BetaParams], labels: Sequence[str] | None = None
 ) -> HellingerMatrix:
@@ -91,7 +83,11 @@ def distance_matrix(
         i, j = np.nonzero(np.arange(start, start + rows)[:, None] < np.arange(n))
         i += start
         values[i, j] = values[j, i] = _hellinger_pairs(shapes[i], shapes[j])
-    return HellingerMatrix(_default_labels(n, labels), values)
+    if labels is None:
+        labels = range(1, n + 1)
+    elif len(labels) != n:
+        raise DomainError(f"got {len(labels)} labels for {n} items")
+    return HellingerMatrix(tuple(str(label) for label in labels), values)
 
 
 def profile_distance_matrix(matrix: HellingerMatrix) -> HellingerMatrix:
@@ -112,16 +108,13 @@ def profile_distance_matrix(matrix: HellingerMatrix) -> HellingerMatrix:
 
 @dataclass(frozen=True)
 class ComplexityScore:
-    label: str
     index: int
     raw: float
     scaled: float
     median: float
 
 
-def complexity_scores(
-    posteriors: Sequence[BetaParams], labels: Sequence[str] | None = None
-) -> list[ComplexityScore]:
+def complexity_scores(posteriors: Sequence[BetaParams]) -> list[ComplexityScore]:
     """Cumulative-Hellinger complexity scores scaled to [0, 10].
 
     Walking products in ascending median order, each score adds the Hellinger
@@ -132,7 +125,6 @@ def complexity_scores(
     """
     if not posteriors:
         raise DomainError("need at least one posterior")
-    names = _default_labels(len(posteriors), labels)
     medians = [p.median for p in posteriors]
     order = sorted(range(len(posteriors)), key=lambda i: (medians[i], posteriors[i].variance, i))
     shapes = np.array([(posteriors[i].a, posteriors[i].b) for i in order])
@@ -141,7 +133,7 @@ def complexity_scores(
     top = float(raw.max())
     scale = SCALE_MAX / top if top > 0 else 0.0
     return [
-        ComplexityScore(label=names[i], index=i, raw=r, scaled=r * scale, median=medians[i])
+        ComplexityScore(index=i, raw=r, scaled=r * scale, median=medians[i])
         for i, r in enumerate(raw.tolist())
     ]
 

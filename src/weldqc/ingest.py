@@ -17,11 +17,12 @@ WeldRecord, not one entry per row: one counting pass over the rows, then
 grows with the number of distinct records.  Each distinct line is split and
 parsed once (with an extra column such as a weld ID, csv reads the rows and
 each distinct set of required cells is parsed once).  Lines are split
-directly up to the first quote character, inner line break or line longer
-than the csv field limit; from there on `csv` reads the rest of the table,
-since a quoted field may span lines.  It reads strictly: a quote left open
-at the end of the table, or text after a closing quote, is a malformed
-table rather than rows run together into one field.
+directly up to the chunk of lines that holds the first quote character,
+inner line break or line longer than the csv field limit; from that chunk's
+first line on `csv` reads the rest of the table, since a quoted field may
+span lines.  It reads strictly: a quote left open at the end of the table,
+or text after a closing quote, is a malformed table rather than rows run
+together into one field.
 """
 
 from __future__ import annotations
@@ -238,17 +239,16 @@ def _parse_rows(handle: TextIO, delimiter: str) -> ParseResult:
         text = line.rstrip("\r\n")
         return not ('"' in line or "\r" in text or "\n" in text or len(line) > limit)
 
-    def tally(keys: list) -> int:
-        """Count `keys` up to the first raw line that csv must read; return how many."""
+    def tally(keys: list) -> bool:
+        """Count `keys`; if one is a new raw line that csv must read, count none
+        and return False, so csv reads them all."""
         nonlocal counts, row_no
         before = len(counts)
         counts.update(keys)
-        fresh = list(islice(reversed(counts), len(counts) - before))  # latest first
-        late = [key for key in fresh if isinstance(key, str) and not plain(key)]
-        if late:
-            read = keys.index(late[-1])
-            counts -= Counter(keys[read:])
-            keys, fresh = keys[:read], [key for key in fresh if key in counts]
+        fresh = list(islice(reversed(counts), len(counts) - before))
+        if any(isinstance(key, str) and not plain(key) for key in fresh):
+            counts -= Counter(keys)
+            return False
         for key in fresh:
             records[key], problem = outcome(key)
             if problem is not None:
@@ -257,16 +257,16 @@ def _parse_rows(handle: TextIO, delimiter: str) -> ParseResult:
             for number in compress(count(row_no), map(problems.__contains__, keys)):
                 issues.append(ParseIssue(number, problems[keys[number - row_no]]))
         row_no += len(keys)
-        return len(keys)
+        return True
 
     # one pass in bounded chunks, since a caller's handle need not be seekable
     lines: Iterable[str] = handle
     if set(names) <= set(REQUIRED_COLUMNS):
         for chunk in iter(lambda: handle.readlines(CHUNK_BYTES), []):
-            if (done := tally(chunk)) < len(chunk):
-                lines = chain(chunk[done:], handle)
+            if not tally(chunk):
+                lines = chain(chunk, handle)
                 break
-    # csv reads a table with extra columns, or the rest from a line it must read
+    # csv reads a table with extra columns, or the rest from a chunk it must read
     reader = csv.reader(lines, delimiter=delimiter, strict=True)
     while keys := list(map(row_key, islice(reader, CHUNK_ROWS))):
         tally(keys)

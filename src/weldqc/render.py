@@ -11,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .rework import IN_CONTROL
+
 W, H = 720, 420
 MARGIN = 60
 
@@ -100,7 +102,7 @@ def control_chart_svg(series) -> str:
     for p in points:
         x = to_x(p.state)
         parts.append(_line(x, to_y(p.band_low), x, to_y(p.band_high), color="#888"))
-        dot = "#b30000" if p.flag != "in_control" else "#08519c"
+        dot = "#b30000" if p.flag != IN_CONTROL else "#08519c"
         parts.append(f'<circle cx="{x:.1f}" cy="{to_y(p.median):.1f}" r="3" fill="{dot}"/>')
         if previous is not None:
             parts.append(_line(previous[0], previous[1], x, to_y(p.median), color="#08519c"))

@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import re
-import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -154,24 +153,21 @@ def matrix_lines(labels: Sequence, values: np.ndarray) -> Iterator[str]:
 
 
 def write_text(path: Path, text: str) -> None:
-    """Write via a temp file in the same directory, then atomic rename.
+    """Write via a new temp file in the same directory, then atomic rename.
 
-    mkstemp creates the file with mode 0600 whatever the umask, so the mode
-    an ordinary `open` would give is set before the rename.
+    The temp file is created with mode 0666, so the kernel applies the umask
+    (or the directory's default ACL) exactly as it does for a plain `open`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -193,6 +193,19 @@ class ControlChartSeries:
     points: tuple[StatePoint, ...]
 
 
+def check_actuals(hours: Sequence[float], results: Sequence[int], n_products: int) -> None:
+    """Raise DomainError unless hours and results pair up, one per completed
+    product of at most n_products, with hours >= 0 and each result 0 or 1."""
+    if len(hours) != len(results):
+        raise DomainError(f"{len(hours)} actual hours for {len(results)} results")
+    if len(hours) > n_products:
+        raise DomainError(f"got actuals for {len(hours)} of {n_products} products")
+    if any(h < 0 for h in hours):
+        raise DomainError("actual rework hours must be >= 0")
+    if any(r not in (0, 1) for r in results):
+        raise DomainError("actual results must be 0 (pass) or 1 (fail/reworked)")
+
+
 def control_chart(
     specs: Sequence[ProductSpec],
     actual_hours: Sequence[float],
@@ -219,17 +232,7 @@ def control_chart(
     k - 1's pass/fail outcome into the posteriors of the remaining products
     sharing its type key and redraws only those columns.
     """
-    n = len(specs)
-    if len(actual_hours) != len(actual_results):
-        raise DomainError(
-            f"{len(actual_hours)} actual hours for {len(actual_results)} results"
-        )
-    if len(actual_hours) > n:
-        raise DomainError(f"got actuals for {len(actual_hours)} of {n} products")
-    if any(h < 0 for h in actual_hours):
-        raise DomainError("actual rework hours must be >= 0")
-    if any(r not in (0, 1) for r in actual_results):
-        raise DomainError("actual results must be 0 (pass) or 1 (fail/reworked)")
+    check_actuals(actual_hours, actual_results, len(specs))
     completed = len(actual_hours)
     if limits is None:
         limits = control_limits(

@@ -866,17 +866,28 @@ MALFORMED_INPUTS = {
         ["operators", "--input", "export.csv", "--min-inspected", "1", "--config", "config.json"],
         3, "proposal_sd",
     ),
+    # JSON may hold a lone surrogate, which no file system path can encode
+    "config-out-dir-lone-surrogate": (
+        {"specs.json": _SPECS, "config.json": _json_bytes({"out_dir": "\ud800"})},
+        ["rework", "--specs", "specs.json", "--config", "config.json"], 3, "out_dir",
+    ),
+    "config-input-lone-surrogate": (
+        {"config.json": _json_bytes({"input": "\ud800"})},
+        ["summarize", "--config", "config.json"], 3, "input",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_maps_to_exit_code(case, tmp_path, capsys):
+def test_malformed_input_maps_to_exit_code(case, tmp_path, capsys, monkeypatch):
     files, argv, expected_code, needle = MALFORMED_INPUTS[case]
     for name, content in files.items():
         (tmp_path / name).write_bytes(content)
     out = tmp_path / "out"
     argv = [str(tmp_path / arg) if arg.endswith((".csv", ".json")) else arg for arg in argv]
-    code = main(argv + ["--out-dir", str(out)])
+    # the out dir comes from the environment, so a config file's out_dir still applies
+    monkeypatch.setenv("WELDQC_OUT", str(out))
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == expected_code
     assert err.startswith("error: ") and err.count("\n") == 1, err

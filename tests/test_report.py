@@ -145,13 +145,23 @@ class TestWriters:
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
     def test_atomic_write_respects_umask(self, tmp_path):
-        path = tmp_path / "out.txt"
-        previous = os.umask(0o022)
-        try:
-            report.write_text(path, "hello")
-        finally:
-            os.umask(previous)
-        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            path = tmp_path / f"out{umask:o}.txt"
+            previous = os.umask(umask)
+            try:
+                report.write_text(path, "hello")
+            finally:
+                os.umask(previous)
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    def test_atomic_write_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        # the umask is process-wide: setting it, even briefly, races other threads
+        def umask(mask):
+            raise AssertionError("write_text must not set the umask")
+
+        monkeypatch.setattr(os, "umask", umask)
+        report.write_text(tmp_path / "out.txt", "hello")
+        assert (tmp_path / "out.txt").read_text() == "hello"
 
     def test_svg_carries_meta_comment(self, tmp_path):
         # single hyphens, as in "a-b" and -1, are written as they are
