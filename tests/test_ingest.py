@@ -2,7 +2,6 @@ import csv
 import io
 import random
 from collections import Counter
-from dataclasses import astuple
 from operator import itemgetter
 from unittest.mock import patch
 
@@ -78,6 +77,16 @@ class TestParse:
     def test_nps_normalized(self):
         result = parse_records(table("7,BW,STD,4.00,Material A,0,1"))
         assert list(result.counts) == [record(nps="4")]
+
+
+def test_record_contract():
+    """A record holds the required cells in order, is immutable, and equal cells hash equal."""
+    assert WeldRecord._fields == ingest.REQUIRED_COLUMNS
+    with pytest.raises(AttributeError):
+        record().nps = "4"
+    cells = ("7", "BW", "STD", "4.00", "Material A", "0", "1")
+    (first, _), (second, _) = ingest._parse_row(*cells), ingest._parse_row(*(f" {c} " for c in cells))
+    assert first == second == record(nps="4") and hash(first) == hash(second)
 
 
 class TestDistinctRows:
@@ -165,7 +174,7 @@ def csv_loop_parse(source, delimiter=","):
             record, problem = ingest._parse_row(*required_cells(row))
             if problem is not None:
                 issues.append((line_no, problem))
-            records.append(astuple(record))
+            records.append(tuple(record))
         return records, issues
 
 
@@ -182,7 +191,7 @@ def outcome(parse, source, delimiter):
     except SchemaError as exc:
         return "error", str(exc)
     if isinstance(result, ingest.ParseResult):
-        counts = Counter({astuple(r): rows for r, rows in result.counts.items()})
+        counts = Counter({tuple(r): rows for r, rows in result.counts.items()})
         return counts, [(i.line, i.message) for i in result.issues]
     records, issues = result
     return Counter(records), issues
@@ -196,6 +205,8 @@ def export_tables(draw):
     cell = st.sampled_from([
         "7", " 8 ", "BW", "STD", "4.00", "Material A", "0", "1", "2", "oops", "", " ",
         "a\x00b", f'"M{delimiter}A"', '"two\nlines"', '"q""q"', 'a"b', "x" * 25,
+        # int() and normalize_nps read these unlike a string shortcut would
+        "+2", "1_0", "\u0662", "\uff10", "4.", "04.50", "-0.0",
     ])
     width = len(ingest.REQUIRED_COLUMNS)
     # an extra column's ID goes into every "row", so blank required cells
@@ -340,6 +351,13 @@ class TestSummarize:
         summaries = summarize(counts)
         assert sum(s.total_welds for s in summaries) == counts.total() == 12
 
+    def test_one_or_no_group_field(self):
+        counts = Counter({record(nps="2"): 2, record(nps="4", status=2): 1})
+        by_nps = summarize(counts, group_by=("nps",))
+        assert [(s.key, s.total_welds) for s in by_nps] == [(GroupKey(nps="2"), 2), (GroupKey(nps="4"), 1)]
+        (overall,) = summarize(counts, group_by=())
+        assert (overall.key, overall.total_welds, overall.repaired_welds) == (GroupKey(), 3, 1)
+
     def test_rejects_unknown_group_field(self):
         with pytest.raises(SchemaError):
             summarize(Counter([record()]), group_by=("nope",))
@@ -367,6 +385,7 @@ class TestFilters:
         counts = Counter({record(project_type="0"): 3, record(project_type="1"): 2, record(status=2): 1})
         assert filter_records(counts, project_type="0") == Counter({record(): 3, record(status=2): 1})
         assert filter_records(counts, project_type="0", inspection_status="2") == Counter([record(status=2)])
+        assert filter_records(counts) == counts
 
     def test_filter_records_unknown_field(self):
         with pytest.raises(SchemaError):
