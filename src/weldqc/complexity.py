@@ -18,7 +18,10 @@ Two clustering inputs are supported.  `distance_matrix` gives the Hellinger
 distances themselves.  `profile_distance_matrix` gives Euclidean distances
 between the *rows* of that matrix (each product represented by its vector of
 distances to every product); this is the form the reference case-study
-dendrogram was built from and is the default in the reporting pipeline.
+dendrogram was built from and is the default in the reporting pipeline.  It
+comes from one Gram (BLAS matrix) product, so its values carry rounding of
+order n * eps relative to the rows' norms; pairs within that bound of 0,
+duplicate rows among them, are recomputed directly and keep exact zeros.
 """
 
 from __future__ import annotations
@@ -95,15 +98,36 @@ def profile_distance_matrix(matrix: HellingerMatrix) -> HellingerMatrix:
 
     Row i is product i's distance profile against every product; two products
     are close when they sit at similar distances from everything else.
-    Computed one row at a time, so memory stays O(n^2).  Each row fills only
-    its upper part and is mirrored: (x - y)^2 == (y - x)^2 exactly, so the
-    result equals the full computation bit for bit.
+
+    Squared distances come from one Gram product of the column-centred rows
+    H (centring moves no distance and shrinks the norms), formed in place so
+    memory stays O(n^2): D_ij^2 = |H_i|^2 + |H_j|^2 - 2 H_i.H_j, within
+    8 n eps (|H_i|^2 + |H_j|^2) of its exact value (eps: float64 epsilon).
+    Pairs within that bound of 0 are recomputed directly as sums of squared
+    differences, so duplicate rows keep an exact 0.  The result is built from
+    the upper triangle: exactly symmetric with a zero diagonal.
     """
     rows = matrix.values
-    values = np.empty(rows.shape)
-    for i in range(len(rows)):
-        values[i, i:] = values[i:, i] = np.sqrt(((rows[i] - rows[i:]) ** 2).sum(axis=1))
-    return HellingerMatrix(matrix.labels, values)
+    n = len(rows)
+    centered = rows - rows.mean(axis=0)
+    norms = np.einsum("ij,ij->i", centered, centered)
+    sq = centered @ centered.T
+    del centered
+    sq *= -2.0
+    sq += norms[:, None]
+    sq += norms
+    tol = 8.0 * n * np.finfo(float).eps * norms
+    # screen against the largest bound, then hold each pair to its own
+    i, j = np.nonzero(sq <= 2.0 * tol.max(initial=0.0))
+    near = (i < j) & (sq[i, j] <= tol[i] + tol[j])
+    i, j = i[near], j[near]
+    chunk = max(1, n // 4)  # pairs per step: the four chunk x n temporaries stay n x n
+    for start in range(0, len(i), chunk):
+        a, b = i[start : start + chunk], j[start : start + chunk]
+        sq[a, b] = ((rows[a] - rows[b]) ** 2).sum(axis=1)
+    sq = np.triu(sq, 1)
+    np.sqrt(sq, out=sq)
+    return HellingerMatrix(matrix.labels, sq + sq.T)
 
 
 @dataclass(frozen=True)
@@ -177,7 +201,7 @@ def agglomerative_cluster(matrix: HellingerMatrix) -> ClusterTree:
 
     Cluster distance is the largest pairwise member distance.  Equal-distance
     merge candidates are resolved by the lexicographically smallest cluster-id
-    pair, so the dendrogram is identical across runs and platforms.  Only the
+    pair, so the same distance matrix always gives the same dendrogram.  Only the
     upper triangle of the matrix is read.
 
     The working matrix holds one slot per active cluster (retired slots and

@@ -151,13 +151,13 @@ def acf(chain_or_values, max_lag: int) -> np.ndarray:
     if not (0 <= max_lag < n):
         raise DomainError(f"max_lag must lie in [0, {n - 1}], got {max_lag}")
     centered = values - values.mean()
-    denom = float(np.dot(centered, centered))
-    if denom == 0.0:
+    if float(np.dot(centered, centered)) == 0.0:
         raise DomainError("autocorrelation undefined for a constant series")
-    out = np.empty(max_lag + 1)
-    for lag in range(max_lag + 1):
-        out[lag] = float(np.dot(centered[: n - lag], centered[lag:])) / denom
-    return out
+    # zero padding to n + max_lag points keeps lags up to max_lag from wrapping around
+    size = 1 << (n + max_lag - 1).bit_length()
+    spectrum = np.fft.rfft(centered, size)
+    sums = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[: max_lag + 1]
+    return sums / sums[0]
 
 
 def empirical_interval(chain: Chain, alpha: float = 0.05) -> CredibleInterval:

@@ -43,6 +43,22 @@ def random_params(rng):
     return BetaParams(float(rng.uniform(0.5, 300.0)), float(rng.uniform(0.5, 300.0)))
 
 
+def row_loop_profile(matrix):
+    """Profile distances one row at a time, each pair as its own sum of squares."""
+    rows = matrix.values
+    values = np.empty(rows.shape)
+    for i in range(len(rows)):
+        values[i, i:] = values[i:, i] = np.sqrt(((rows[i] - rows[i:]) ** 2).sum(axis=1))
+    return HellingerMatrix(matrix.labels, values)
+
+
+def tied_posteriors(n, seed):
+    """Posteriors over few distinct counts, so many repeat exactly."""
+    rng = np.random.default_rng(seed)
+    inspected = rng.choice([150, 200, 300, 2000], n)
+    return [posterior(CountData(int(rng.integers(0, 4)), int(m)), JEFFREYS) for m in inspected]
+
+
 class TestHellinger:
     def test_identical_distributions(self):
         p = BetaParams(5.5, 195.5)
@@ -240,7 +256,7 @@ class TestDistanceMatrix:
     def test_profile_matrix_is_a_distance_matrix(self):
         matrix = profile_distance_matrix(distance_matrix(eight_posteriors()))
         assert np.all(np.diag(matrix.values) == 0.0)
-        np.testing.assert_allclose(matrix.values, matrix.values.T)
+        np.testing.assert_array_equal(matrix.values, matrix.values.T)
 
     def test_entries_equal_pairwise_hellinger_exactly(self):
         rng = np.random.default_rng(7)
@@ -253,12 +269,45 @@ class TestDistanceMatrix:
 
 
 class TestProfileMatrix:
-    def test_equals_broadcast_formula(self):
+    def test_within_rounding_bound_of_broadcast_formula(self):
         rng = np.random.default_rng(8)
-        matrix = distance_matrix([random_params(rng) for _ in range(50)])
+        n = 50
+        matrix = distance_matrix([random_params(rng) for _ in range(n)])
         rows = matrix.values
         expected = np.sqrt(((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2))
-        assert np.array_equal(profile_distance_matrix(matrix).values, expected)
+        values = profile_distance_matrix(matrix).values
+        centered = rows - rows.mean(axis=0)
+        norms = (centered**2).sum(axis=1)
+        bound = 8 * n * np.finfo(float).eps * (norms[:, None] + norms)
+        assert np.all(np.abs(values**2 - expected**2) <= bound)
+
+    def test_duplicate_rows_give_exact_zeros(self):
+        posteriors = tied_posteriors(60, 10)
+        values = profile_distance_matrix(distance_matrix(posteriors)).values
+        same = np.array([[p == q for q in posteriors] for p in posteriors])
+        assert np.count_nonzero(same) > 2 * len(posteriors)
+        assert np.all(values[same] == 0.0)
+        assert np.all(values[~same] > 0.0)
+
+    def test_exactly_symmetric_with_zero_diagonal(self):
+        rng = np.random.default_rng(8)
+        posteriors = [random_params(rng) for _ in range(50)] + tied_posteriors(30, 11)
+        values = profile_distance_matrix(distance_matrix(posteriors)).values
+        assert np.array_equal(values, values.T)
+        assert np.all(np.diag(values) == 0.0)
+
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_clusters_as_row_loop_with_ties(self, seed):
+        matrix = distance_matrix(tied_posteriors(120, seed))
+        expected = agglomerative_cluster(row_loop_profile(matrix))
+        tree = agglomerative_cluster(profile_distance_matrix(matrix))
+        assert [(m.left, m.right) for m in tree.merges] == [
+            (m.left, m.right) for m in expected.merges
+        ]
+        assert [round(m.height, 6) for m in tree.merges] == [
+            round(m.height, 6) for m in expected.merges
+        ]
+        assert cut(tree, 7) == cut(expected, 7)
 
     def test_memory_is_quadratic(self):
         n = 300
