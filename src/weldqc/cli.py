@@ -769,6 +769,10 @@ def main(argv: list[str] | None = None) -> int:
     except WeldQCError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 4)
+    except MemoryError as exc:
+        # array sizes come from configured counts such as iterations or resamples
+        print(f"error: cannot allocate memory: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return ConfigError.exit_code
     print(message.format(out=out))
     return 0
 

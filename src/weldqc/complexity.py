@@ -37,6 +37,7 @@ from .errors import DomainError
 
 SCALE_MAX = 10.0
 _CHUNK_PAIRS = 8192  # pairs per kernel call: temporaries stay small next to an n x n matrix
+_MIRROR_ROWS = 64  # rows per strip of the upper-to-lower copy: its transposed read stays in cache
 
 
 def _hellinger_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -104,8 +105,9 @@ def profile_distance_matrix(matrix: HellingerMatrix) -> HellingerMatrix:
     memory stays O(n^2): D_ij^2 = |H_i|^2 + |H_j|^2 - 2 H_i.H_j, within
     8 n eps (|H_i|^2 + |H_j|^2) of its exact value (eps: float64 epsilon).
     Pairs within that bound of 0 are recomputed directly as sums of squared
-    differences, so duplicate rows keep an exact 0.  The result is built from
-    the upper triangle: exactly symmetric with a zero diagonal.
+    differences, so duplicate rows keep an exact 0.  The upper triangle is
+    mirrored into the lower one in place and the diagonal set to 0 before the
+    root: exactly symmetric, a zero diagonal, and one n x n result array.
     """
     rows = matrix.values
     n = len(rows)
@@ -125,9 +127,15 @@ def profile_distance_matrix(matrix: HellingerMatrix) -> HellingerMatrix:
     for start in range(0, len(i), chunk):
         a, b = i[start : start + chunk], j[start : start + chunk]
         sq[a, b] = ((rows[a] - rows[b]) ** 2).sum(axis=1)
-    sq = np.triu(sq, 1)
+    for start in range(0, n, _MIRROR_ROWS):
+        stop = min(start + _MIRROR_ROWS, n)
+        sq[start:stop, :start] = sq[:start, start:stop].T
+        block = sq[start:stop, start:stop]
+        lower = np.tril_indices(stop - start, -1)
+        block[lower] = block.T[lower]
+    np.fill_diagonal(sq, 0.0)
     np.sqrt(sq, out=sq)
-    return HellingerMatrix(matrix.labels, sq + sq.T)
+    return HellingerMatrix(matrix.labels, sq)
 
 
 @dataclass(frozen=True)

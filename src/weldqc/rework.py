@@ -12,6 +12,10 @@ Drawing each p_i from its type's posterior gives the planning-phase estimate
 distribution; its median and 2.5%/97.5% quantiles form the control chart's
 center line and control limits.  During execution the chart tracks, per
 state, accrued actual rework hours plus the simulated remainder.
+
+The hours are computed in place over the Beta draws, so the stage holds one
+iterations x products float64 matrix at 8 bytes a cell (10^4 x 5,000 is
+400 MB; out of place, the transform would peak at about three times that).
 """
 
 from __future__ import annotations
@@ -109,13 +113,17 @@ def _columns(specs: Sequence[ProductSpec]) -> tuple[np.ndarray, np.ndarray, np.n
 def _draw_hours(
     terms: np.ndarray, a: np.ndarray, b: np.ndarray, iterations: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """iterations x len(terms) rework hours terms * (1/(1 - p) - 1), p ~ Beta(a, b)."""
+    """iterations x len(terms) rework hours terms * (1/(1 - p) - 1), p ~ Beta(a, b), in place."""
     draws = rng.beta(a, b, size=(iterations, a.size))
     # a draw at 1 would make 1/(1 - p) infinite; measure-zero but guarded
     for _ in range(_REDRAW_LIMIT):
         mask = draws >= _P_CAP
         if not mask.any():
-            return terms * (1.0 / (1.0 - draws) - 1.0)
+            np.subtract(1.0, draws, out=draws)
+            np.divide(1.0, draws, out=draws)
+            draws -= 1.0
+            draws *= terms
+            return draws
         rows, cols = np.nonzero(mask)
         draws[rows, cols] = rng.beta(a[cols], b[cols])
     raise DomainError("rework probability draws kept saturating at 1")

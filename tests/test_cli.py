@@ -220,6 +220,21 @@ class TestOperators:
         config = json.loads(next(l for l in meta if l.startswith("# config: "))[10:])
         assert config["resamples"] == resamples
 
+    @pytest.mark.parametrize("sizes", [
+        ["--iterations", "100000000000000"],
+        ["--iterations", "300", "--burn-in", "10", "--resamples", "100000000000000"],
+    ])
+    def test_impossible_size_exits_3(self, records_csv, tmp_path, capsys, sizes):
+        # numpy refuses an array past the address space at once: nothing is allocated
+        out = tmp_path / "ops"
+        assert main([
+            "operators", "--input", str(records_csv), "--min-inspected", "1",
+            *sizes, "--out-dir", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate memory: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_single_operator(self, records_csv, tmp_path):
         out = tmp_path / "single"
         main([
@@ -437,6 +452,17 @@ class TestRework:
         _, body = read_meta_and_rows(out / "control_chart.csv")
         assert body[0] == "state,median,band_low,band_high,accrued_actual_hours,flag"
         assert (out / "control_chart.svg").exists()
+
+    def test_impossible_iterations_exit_3(self, specs_json, tmp_path, capsys):
+        # numpy refuses an array past the address space at once: nothing is allocated
+        out = tmp_path / "rw"
+        assert main([
+            "rework", "--specs", str(specs_json), "--iterations", "100000000000000",
+            "--out-dir", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate memory: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_specs(self, tmp_path):
         assert main(["rework", "--out-dir", str(tmp_path)]) == 3

@@ -52,6 +52,30 @@ def row_loop_profile(matrix):
     return HellingerMatrix(matrix.labels, values)
 
 
+def triu_sum_profile(matrix):
+    """Profile distances built as before the in-place mirror: np.triu, root, then sq + sq.T."""
+    rows = matrix.values
+    n = len(rows)
+    centered = rows - rows.mean(axis=0)
+    norms = np.einsum("ij,ij->i", centered, centered)
+    sq = centered @ centered.T
+    del centered
+    sq *= -2.0
+    sq += norms[:, None]
+    sq += norms
+    tol = 8.0 * n * np.finfo(float).eps * norms
+    i, j = np.nonzero(sq <= 2.0 * tol.max(initial=0.0))
+    near = (i < j) & (sq[i, j] <= tol[i] + tol[j])
+    i, j = i[near], j[near]
+    chunk = max(1, n // 4)
+    for start in range(0, len(i), chunk):
+        a, b = i[start : start + chunk], j[start : start + chunk]
+        sq[a, b] = ((rows[a] - rows[b]) ** 2).sum(axis=1)
+    sq = np.triu(sq, 1)
+    np.sqrt(sq, out=sq)
+    return sq + sq.T
+
+
 def tied_posteriors(n, seed):
     """Posteriors over few distinct counts, so many repeat exactly."""
     rng = np.random.default_rng(seed)
@@ -308,6 +332,35 @@ class TestProfileMatrix:
             round(m.height, 6) for m in expected.merges
         ]
         assert cut(tree, 7) == cut(expected, 7)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 200])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_bit_identical_to_triu_sum(self, n, tied):
+        rng = np.random.default_rng(n)
+        posteriors = (
+            tied_posteriors(n, n) if tied else [random_params(rng) for _ in range(n)]
+        )
+        matrix = distance_matrix(posteriors)
+        values = profile_distance_matrix(matrix).values
+        expected = triu_sum_profile(matrix)
+        assert values.tobytes() == expected.tobytes()
+
+    def test_peak_is_one_matrix_below_triu_sum(self):
+        n = 800
+        rng = np.random.default_rng(15)
+        values = np.triu(rng.random((n, n)), 1)
+        matrix = HellingerMatrix(tuple(map(str, range(n))), values + values.T)
+        peaks = []
+        for build in (profile_distance_matrix, triu_sum_profile):
+            tracemalloc.start()
+            try:
+                build(matrix)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the Gram step holds the centred rows and the result (2 n x n); the
+        # np.triu copy and sq + sq.T added an n x n array and np.triu's mask
+        assert peaks[0] < 2.05 * n * n * 8 < peaks[1]
 
     def test_memory_is_quadratic(self):
         n = 300

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from weldqc.bayes import JEFFREYS, BetaParams, CountData, posterior
 from weldqc.errors import DomainError
+from weldqc import rework
 from weldqc.rework import (
     ABOVE_UCL,
     BELOW_LCL,
@@ -160,6 +163,101 @@ class TestSimulate:
     def test_samples_nonnegative(self):
         estimate = simulate_total_rework(example_specs(), iterations=500, seed=5)
         assert np.all(estimate.samples >= 0.0)
+
+
+def _triple_array_hours(terms, a, b, iterations, rng):
+    """Rework hours as drawn before the in-place transform, three matrices deep."""
+    draws = rng.beta(a, b, size=(iterations, a.size))
+    for _ in range(10):
+        mask = draws >= 1.0 - 1e-12
+        if not mask.any():
+            return terms * (1.0 / (1.0 - draws) - 1.0)
+        rows, cols = np.nonzero(mask)
+        draws[rows, cols] = rng.beta(a[cols], b[cols])
+    raise DomainError("rework probability draws kept saturating at 1")
+
+
+class _SaturatingFirstDraw:
+    """A generator whose first matrix of draws has some cells at exactly 1."""
+
+    def __init__(self, seed, cells):
+        self.rng = np.random.default_rng(seed)
+        self.cells = cells
+
+    def beta(self, a, b, size=None):
+        draws = self.rng.beta(a, b, size=size)
+        if self.cells:
+            draws[self.cells] = 1.0
+            self.cells = None
+        return draws
+
+
+def _random_columns(rng, n):
+    terms = rng.uniform(0.0, 30.0, n)
+    terms[rng.random(n) < 0.2] = 0.0
+    return terms, rng.uniform(0.05, 20.0, n), rng.uniform(0.05, 400.0, n)
+
+
+class TestDrawHours:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_identical_to_three_matrix_transform(self, seed):
+        rng = np.random.default_rng(seed)
+        iterations, n = int(rng.integers(1, 300)), int(rng.integers(1, 60))
+        terms, a, b = _random_columns(rng, n)
+        hours = rework._draw_hours(terms, a, b, iterations, substream(seed, 3))
+        expected = _triple_array_hours(terms, a, b, iterations, substream(seed, 3))
+        assert hours.shape == (iterations, n)
+        assert hours.tobytes() == expected.tobytes()
+
+    def test_redraw_branch_is_bit_identical(self):
+        terms, a, b = _random_columns(np.random.default_rng(20), 7)
+        cells = (np.array([0, 3, 3, 49]), np.array([2, 0, 6, 2]))
+        hours = rework._draw_hours(terms, a, b, 50, _SaturatingFirstDraw(21, cells))
+        expected = _triple_array_hours(terms, a, b, 50, _SaturatingFirstDraw(21, cells))
+        assert np.all(np.isfinite(hours))
+        assert hours.tobytes() == expected.tobytes()
+
+    def test_saturating_draws_stay_a_domain_error(self):
+        spec = ProductSpec(posterior=BetaParams(1e6, 1e-9), estimated_hours=1.0)
+        with pytest.raises(DomainError, match="saturating"):
+            simulate_total_rework([spec], iterations=100, seed=0)
+
+
+class TestReworkMemory:
+    """The rework stage holds one iterations x products matrix of hours."""
+
+    iterations, n_products = 2000, 400
+    specs = [
+        ProductSpec(
+            posterior=BetaParams(1.0 + i % 4, 10.0 + i % 29),
+            estimated_hours=1.0 + i % 17,
+            key=f"type-{i % 40}",
+        )
+        for i in range(n_products)
+    ]
+    results = [int(i % 3 == 0) for i in range(300)]
+    hours = [2.0 * r for r in results]
+
+    @pytest.mark.parametrize("stage", ["total", "chart", "chart_updating"])
+    def test_peak_is_one_draw_matrix(self, stage):
+        def run(specs, iterations):
+            if stage == "total":
+                return simulate_total_rework(specs, iterations, seed=1)
+            count = min(len(specs) - 1, len(self.hours))
+            return control_chart(
+                specs, self.hours[:count], self.results[:count],
+                iterations=iterations, seed=1, update_posteriors=stage == "chart_updating",
+            )
+
+        run(self.specs[:3], 10)  # first-call allocations (lazy imports, caches)
+        tracemalloc.start()
+        try:
+            run(self.specs, self.iterations)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 6.4 MB of hours plus the one-byte-a-cell saturation mask
+        assert peak <= 1.25 * self.iterations * self.n_products * 8
 
 
 class TestControlLimits:
