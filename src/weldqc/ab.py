@@ -19,7 +19,7 @@ of about sqrt(p(1 - p)/n).  `operators --resamples N` uses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .streams import derive_seed, substream
 DEFAULT_RESAMPLES = 100_000
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     prob_a_greater: float
     draw_count: int
     seed: int

@@ -12,20 +12,20 @@ negative lower bound of small samples stays visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import special
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, checked
 
 
-@dataclass(frozen=True)
-class CountData:
+@checked
+class CountData(NamedTuple):
     """Inspection counts: `failed` failures out of `inspected` items, both integers."""
 
     failed: int
     inspected: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_integer("failed", self.failed)
         check_integer("inspected", self.inspected)
         if not (0 <= self.failed <= self.inspected):
@@ -42,14 +42,14 @@ class CountData:
         return self.failed / self.inspected
 
 
-@dataclass(frozen=True)
-class BetaParams:
+@checked
+class BetaParams(NamedTuple):
     """Shape parameters of a Beta distribution."""
 
     a: float
     b: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (self.a > 0 and self.b > 0 and math.isfinite(self.a) and math.isfinite(self.b)):
             raise DomainError(f"Beta shapes must be positive and finite, got a={self.a}, b={self.b}")
 
@@ -70,8 +70,8 @@ class BetaParams:
 JEFFREYS = BetaParams(0.5, 0.5)
 
 
-@dataclass(frozen=True)
-class CredibleInterval:
+@checked
+class CredibleInterval(NamedTuple):
     """Equal-tailed interval [lower, upper] at confidence level 1 - alpha.
 
     Classical confidence intervals reuse this container; their limits are not
@@ -82,7 +82,7 @@ class CredibleInterval:
     upper: float
     level: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (0.0 < self.level < 1.0):
             raise DomainError(f"interval level must lie in (0, 1), got {self.level}")
         if self.lower > self.upper:

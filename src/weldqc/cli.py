@@ -24,14 +24,16 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import json
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import __version__, ab, complexity, forecast, mcmc, render, report, rework
 from .bayes import BetaParams, CountData, credible_interval, posterior
@@ -162,8 +164,7 @@ def _shapes(value) -> list[float]:
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One command option: a config key and a `--flag` of the same name.
 
     `coerce` accepts or rejects a value from either source.  `flag` holds the
@@ -173,7 +174,7 @@ class Option:
 
     default: object
     coerce: Callable[[object], object]
-    flag: dict = field(default_factory=dict)
+    flag: Mapping = MappingProxyType({})  # read-only: every Option may share it
     spelling: str | None = None
 
     def flag_name(self, name: str) -> str:
@@ -262,9 +263,7 @@ def _load_summaries(resolved: dict) -> tuple[list, dict]:
     summaries = summarize(counts, tuple(resolved["group_by"]))
     info = {
         "rows_parsed": parsed.counts.total(),
-        "parse_issues": [
-            {"line": issue.line, "message": issue.message} for issue in parsed.issues
-        ],
+        "parse_issues": [issue._asdict() for issue in parsed.issues],
         "rejections": rejections.as_dict(),
         "rows_kept": counts.total(),
     }
@@ -305,10 +304,10 @@ def cmd_interval(resolved: dict) -> tuple[Artifacts, str]:
     interval = credible_interval(params, alpha)
 
     payload = {
-        "counts": asdict(counts),
-        "prior": asdict(prior),
-        "posterior": asdict(params),
-        "credible_interval": asdict(interval),
+        "counts": counts._asdict(),
+        "prior": prior._asdict(),
+        "posterior": params._asdict(),
+        "credible_interval": interval._asdict(),
     }
     if resolved["classical"]:
         classical = {}
@@ -618,7 +617,7 @@ def cmd_rework(resolved: dict) -> tuple[Artifacts, str]:
         "mean": estimate.mean,
         "iterations": estimate.iterations,
         "quantiles": quantiles,
-        "limits": asdict(limits),
+        "limits": limits._asdict(),
     }
     chart_rows = [
         [p.state, p.median, p.band_low, p.band_high, p.accrued_actual_hours, p.flag]
@@ -632,7 +631,7 @@ def cmd_rework(resolved: dict) -> tuple[Artifacts, str]:
             chart_rows,
         )),
         ("control_chart.json", {
-            "limits": asdict(limits), "points": [asdict(p) for p in series.points],
+            "limits": limits._asdict(), "points": [p._asdict() for p in series.points],
         }),
         ("control_chart.svg", render.control_chart_svg(series)),
     ], (
@@ -724,8 +723,13 @@ COMMANDS: dict[str, tuple[Callable[[dict], tuple[Artifacts, str]], str, dict[str
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One flag per option of COMMANDS; values are coerced later, by _resolve."""
+    """One flag per option of COMMANDS; values are coerced later, by _resolve.
+
+    Built once per process: parsing leaves the parser unchanged, and `main`
+    looks each command's handler up in COMMANDS at every call.
+    """
     parser = argparse.ArgumentParser(
         prog="weldqc",
         description="Bayesian quality analytics for pass/fail inspection data",

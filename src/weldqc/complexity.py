@@ -26,14 +26,13 @@ duplicate rows among them, are recomputed directly and keep exact zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import special
 from .bayes import BetaParams
-from .errors import DomainError
+from .errors import DomainError, checked
 
 SCALE_MAX = 10.0
 _CHUNK_PAIRS = 8192  # pairs per kernel call: temporaries stay small next to an n x n matrix
@@ -56,12 +55,12 @@ def hellinger(p: BetaParams, q: BetaParams) -> float:
     return float(_hellinger_pairs(np.array([(p.a, p.b)]), np.array([(q.a, q.b)]))[0])
 
 
-@dataclass(frozen=True)
-class HellingerMatrix:
+@checked
+class HellingerMatrix(NamedTuple):
     labels: tuple[str, ...]
     values: np.ndarray
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         n = len(self.labels)
         if self.values.shape != (n, n):
             raise DomainError(
@@ -138,8 +137,7 @@ def profile_distance_matrix(matrix: HellingerMatrix) -> HellingerMatrix:
     return HellingerMatrix(matrix.labels, sq)
 
 
-@dataclass(frozen=True)
-class ComplexityScore:
+class ComplexityScore(NamedTuple):
     index: int
     raw: float
     scaled: float
@@ -170,15 +168,13 @@ def complexity_scores(posteriors: Sequence[BetaParams]) -> list[ComplexityScore]
     ]
 
 
-@dataclass(frozen=True)
-class Merge:
+class Merge(NamedTuple):
     left: int
     right: int
     height: float
 
 
-@dataclass(frozen=True)
-class ClusterTree:
+class ClusterTree(NamedTuple):
     """Merge history of agglomerative clustering.
 
     Leaves are numbered 0..n-1; the cluster created by merge k has id n + k.
@@ -274,8 +270,7 @@ def cut(tree: ClusterTree, k: int) -> list[int]:
     return assignment
 
 
-@dataclass(frozen=True)
-class ClusterLabel:
+class ClusterLabel(NamedTuple):
     letter: str
     members: tuple[int, ...]
     mean_score: float
@@ -337,9 +332,7 @@ def tree_to_dict(tree: ClusterTree) -> dict:
     """JSON-ready merge list: leaves 0..n-1, merge k creates id n+k."""
     return {
         "labels": list(tree.labels),
-        "merges": [
-            {"left": m.left, "right": m.right, "height": m.height} for m in tree.merges
-        ],
+        "merges": [merge._asdict() for merge in tree.merges],
     }
 
 

@@ -11,12 +11,12 @@ seen in practice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bayes import BetaParams
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, checked
 from .streams import substream
 
 DEFAULT_ITERATIONS = 100
@@ -28,13 +28,13 @@ QUANTILE_STEP = 0.10
 _BLOCK_DRAWS = 65_536
 
 
-@dataclass(frozen=True)
-class ProjectDesign:
+@checked
+class ProjectDesign(NamedTuple):
     """One entry per weld type: (type key, posterior of that type, weld count)."""
 
     types: tuple[tuple[str, BetaParams, int], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.types or min(count for _, _, count in self.types) < 1:
             raise ConfigError("a project design needs at least one weld type, each of count >= 1")
 
@@ -47,8 +47,7 @@ class ProjectDesign:
         return len(self.types)
 
 
-@dataclass(frozen=True)
-class ForecastResult:
+class ForecastResult(NamedTuple):
     samples: np.ndarray
     seed: int
     iterations: int

@@ -32,13 +32,12 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
-from .errors import SchemaError
+from .errors import SchemaError, checked
 
 REQUIRED_COLUMNS = (
     "operator_id",
@@ -86,16 +85,14 @@ class WeldRecord(NamedTuple):
     inspection_status: int | str  # raw token survives until `clean` validates it
 
 
-@dataclass(frozen=True)
-class ParseIssue:
+class ParseIssue(NamedTuple):
     line: int
     message: str
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     counts: Counter  # rows per distinct WeldRecord, in first-seen order
-    issues: list[ParseIssue] = field(default_factory=list)
+    issues: list[ParseIssue]
 
     @property
     def records(self) -> list[WeldRecord]:
@@ -103,11 +100,10 @@ class ParseResult:
         return list(self.counts.elements())
 
 
-@dataclass
-class RejectionReport:
+class RejectionReport(NamedTuple):
     """Counts of rows dropped by `clean`, keyed by reason."""
 
-    reasons: Counter = field(default_factory=Counter)
+    reasons: Counter
 
     @property
     def dropped(self) -> int:
@@ -117,8 +113,9 @@ class RejectionReport:
         return dict(sorted(self.reasons.items()))
 
 
-@dataclass(frozen=True, order=True)
-class GroupKey:
+class GroupKey(NamedTuple):
+    """A group's key fields, in KEY_FIELDS order; a field not grouped by is None."""
+
     nps: str | None = None
     schedule: str | None = None
     material: str | None = None
@@ -126,20 +123,20 @@ class GroupKey:
     operator_id: str | None = None
 
     def as_dict(self) -> dict[str, str]:
-        return {f: v for f in KEY_FIELDS if (v := getattr(self, f)) is not None}
+        return {f: v for f, v in self._asdict().items() if v is not None}
 
     def sort_key(self) -> tuple[str, ...]:
-        return tuple(getattr(self, f) or "" for f in KEY_FIELDS)
+        return tuple(v or "" for v in self)
 
 
-@dataclass(frozen=True)
-class GroupSummary:
+@checked
+class GroupSummary(NamedTuple):
     key: GroupKey
     total_welds: int
     inspected_welds: int
     repaired_welds: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (0 <= self.repaired_welds <= self.inspected_welds <= self.total_welds):
             raise SchemaError(
                 f"summary counts out of order for {self.key}: "
@@ -298,16 +295,16 @@ def clean(counts: Mapping[WeldRecord, int]) -> tuple[Counter, RejectionReport]:
     report.  Idempotent by construction.
     """
     kept = Counter(counts)
-    report = RejectionReport()
+    reasons: Counter = Counter()
     for record, rows in counts.items():
         if not (record.schedule and record.nps and record.material):
-            report.reasons["blank_field"] += rows
+            reasons["blank_field"] += rows
         elif record.inspection_status not in VALID_STATUSES:
-            report.reasons["invalid_status"] += rows
+            reasons["invalid_status"] += rows
         else:
             continue
         del kept[record]
-    return kept, report
+    return kept, RejectionReport(reasons)
 
 
 def filter_records(counts: Mapping[WeldRecord, int], **criteria: str) -> Counter:

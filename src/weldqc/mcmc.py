@@ -14,25 +14,24 @@ analytical solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bayes import JEFFREYS, BetaParams, CountData, CredibleInterval
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, checked
 from .streams import check_seed, derive_seed, substream
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+@checked
+class ChainConfig(NamedTuple):
     iterations: int = 10_000
     burn_in: int = 200
     proposal_sd: float = 0.05
     initial: float | None = None  # default (X + 1/2)/(n + 1), clamped away from {0, 1}
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_integer("iterations", self.iterations)
         check_integer("burn_in", self.burn_in)
         if self.burn_in < 0 or self.iterations <= self.burn_in:
@@ -46,8 +45,7 @@ class ChainConfig:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     draws: np.ndarray
     config: ChainConfig
     acceptance_rate: float
@@ -59,18 +57,16 @@ class Chain:
         return self.draws[self.config.burn_in:]
 
 
-@dataclass(frozen=True)
-class FiveNumberSummary:
+class FiveNumberSummary(NamedTuple):
     whisker_low: float
     q1: float
     median: float
     q3: float
     whisker_high: float
-    outliers: tuple[float, ...] = field(default=())
+    outliers: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     mae_lower: float
     mae_upper: float
     rmse_lower: float
@@ -131,7 +127,7 @@ def sample_chains(
     if check_integer("n_chains", n_chains) < 1:
         raise DomainError(f"n_chains must be at least 1, got {n_chains}")
     return [
-        sample_posterior(counts, prior, replace(config, seed=derive_seed(config.seed, index)))
+        sample_posterior(counts, prior, config._replace(seed=derive_seed(config.seed, index)))
         for index in range(n_chains)
     ]
 

@@ -20,13 +20,12 @@ iterations x products float64 matrix at 8 bytes a cell (10^4 x 5,000 is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bayes import BetaParams
-from .errors import DomainError
+from .errors import DomainError, checked
 from .forecast import quantile_table
 from .streams import derive_seed, substream
 
@@ -34,28 +33,29 @@ DEFAULT_ITERATIONS = 1000
 DEFAULT_EFFICIENCY = 1.2
 _P_CAP = 1.0 - 1e-12
 _REDRAW_LIMIT = 10
+#: most cells one column redraw of `control_chart` draws at a time
+_REDRAW_CELLS = 1 << 16
 
 IN_CONTROL = "in_control"
 ABOVE_UCL = "above_ucl"
 BELOW_LCL = "below_lcl"
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+@checked
+class ProductSpec(NamedTuple):
     posterior: BetaParams
     estimated_hours: float
     efficiency: float = DEFAULT_EFFICIENCY
     key: str | None = None  # shared type key enables posterior updating
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.estimated_hours < 0:
             raise DomainError(f"estimated hours must be >= 0, got {self.estimated_hours}")
         if not (self.efficiency > 0):
             raise DomainError(f"efficiency must be positive, got {self.efficiency}")
 
 
-@dataclass(frozen=True)
-class MarkovMatrices:
+class MarkovMatrices(NamedTuple):
     P: np.ndarray  # (n+1) x (n+1) transition matrix, last state absorbing
     Q: np.ndarray  # n x n transient block
     R: np.ndarray  # n x 1 absorption column
@@ -129,8 +129,7 @@ def _draw_hours(
     raise DomainError("rework probability draws kept saturating at 1")
 
 
-@dataclass(frozen=True)
-class ReworkEstimate:
+class ReworkEstimate(NamedTuple):
     samples: np.ndarray
     seed: int
     iterations: int
@@ -157,13 +156,13 @@ def simulate_total_rework(
     return ReworkEstimate(samples=samples, seed=seed, iterations=iterations)
 
 
-@dataclass(frozen=True)
-class ControlLimits:
+@checked
+class ControlLimits(NamedTuple):
     cl: float
     ucl: float
     lcl: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (self.lcl <= self.cl <= self.ucl):
             raise DomainError(
                 f"limits out of order: LCL={self.lcl}, CL={self.cl}, UCL={self.ucl}"
@@ -185,8 +184,7 @@ def control_limits(estimate: ReworkEstimate) -> ControlLimits:
     return ControlLimits(cl=float(cl), ucl=float(ucl), lcl=float(lcl))
 
 
-@dataclass(frozen=True)
-class StatePoint:
+class StatePoint(NamedTuple):
     state: int  # number of completed products
     median: float
     band_low: float
@@ -195,8 +193,7 @@ class StatePoint:
     flag: str
 
 
-@dataclass(frozen=True)
-class ControlChartSeries:
+class ControlChartSeries(NamedTuple):
     limits: ControlLimits
     points: tuple[StatePoint, ...]
 
@@ -238,7 +235,11 @@ def control_chart(
     By default remaining products keep their historical posteriors and no
     column is redrawn.  With `update_posteriors`, state k folds product
     k - 1's pass/fail outcome into the posteriors of the remaining products
-    sharing its type key and redraws only those columns.
+    sharing its type key and redraws only those columns, in blocks of rows
+    of at most _REDRAW_CELLS cells, so the chart still holds one matrix.
+    `rng.beta` fills an array row by row, so the blocks drawn in order equal
+    one whole-column draw bit for bit, unless a draw saturates at _P_CAP:
+    then its redraw comes after its own block's draws, not after all of them.
     """
     check_actuals(actual_hours, actual_results, len(specs))
     completed = len(actual_hours)
@@ -258,7 +259,11 @@ def control_chart(
             failed = int(actual_results[k - 1])
             a[cols] += failed
             b[cols] += 1 - failed
-            hours[:, cols] = _draw_hours(terms[cols], a[cols], b[cols], iterations, rng)
+            columns = terms[cols], a[cols], b[cols]
+            rows = max(1, _REDRAW_CELLS // max(cols.size, 1))
+            for start in range(0, iterations, rows):
+                block = _draw_hours(*columns, min(rows, iterations - start), rng)
+                hours[start:start + rows, cols] = block
         accrued = float(np.sum(actual_hours[:k]))
         samples = accrued + hours[:, k:].sum(axis=1)
         low, median, high = np.quantile(samples, [0.025, 0.5, 0.975])

@@ -3,6 +3,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -10,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weldqc import ab, report
-from weldqc.cli import COMMANDS, main
+from weldqc.cli import COMMANDS, build_parser, main
+from weldqc.ingest import DEFAULT_GROUP_BY
 
 from refdata import (
     EIGHT_PRODUCT_COUNTS,
@@ -1325,3 +1330,33 @@ def test_mutated_data_file_keeps_the_exit_code_contract(command, data, tmp_path_
         assert "Traceback" not in err and not out.exists()
     if mutation in ("empty", "non-utf8"):
         assert code != 0, mutation
+
+
+def test_reused_parser_resolves_each_call_alone(monkeypatch):
+    assert build_parser() is build_parser()
+    first = _echoed_config(monkeypatch, [
+        "summarize", "--input", "a.csv", "--where", "operator_id=11", "--group-by", "nps,schedule",
+    ])
+    second = _echoed_config(monkeypatch, [
+        "summarize", "--input", "b.csv", "--where", "weld_kind=BW", "--where", "nps=4.0",
+        "--group-by", "material",
+    ])
+    third = _echoed_config(monkeypatch, ["summarize", "--input", "c.csv"])
+    assert (first["input"], first["where"], first["group_by"]) == (
+        "a.csv", ["operator_id=11"], ["nps", "schedule"])
+    assert (second["input"], second["where"], second["group_by"]) == (
+        "b.csv", ["weld_kind=BW", "nps=4"], ["material"])
+    assert (third["input"], third["where"], third["group_by"]) == (
+        "c.csv", [], list(DEFAULT_GROUP_BY))
+
+
+def test_importing_the_cli_loads_no_test_only_package():
+    """numpy is the one runtime dependency: scipy, mpmath and hypothesis serve the tests."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, weldqc.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    loaded = {name.partition(".")[0] for name in done.stdout.split()}
+    assert "weldqc" in loaded and "numpy" in loaded
+    assert not loaded & {"scipy", "mpmath", "hypothesis"}

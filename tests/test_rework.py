@@ -237,6 +237,7 @@ class TestReworkMemory:
     ]
     results = [int(i % 3 == 0) for i in range(300)]
     hours = [2.0 * r for r in results]
+    bound = 1.25 * iterations * n_products * 8
 
     @pytest.mark.parametrize("stage", ["total", "chart", "chart_updating"])
     def test_peak_is_one_draw_matrix(self, stage):
@@ -250,14 +251,53 @@ class TestReworkMemory:
             )
 
         run(self.specs[:3], 10)  # first-call allocations (lazy imports, caches)
-        tracemalloc.start()
-        try:
-            run(self.specs, self.iterations)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         # 6.4 MB of hours plus the one-byte-a-cell saturation mask
-        assert peak <= 1.25 * self.iterations * self.n_products * 8
+        assert _traced_peak(run, self.specs, self.iterations) <= self.bound
+
+    def test_shared_key_redraws_stay_one_matrix(self):
+        """Each completed product redraws every remaining column, in row blocks."""
+        specs = [spec._replace(key="one") for spec in self.specs]
+
+        def run(specs, iterations):
+            count = min(len(specs) - 1, 3)
+            return control_chart(
+                specs, self.hours[:count], self.results[:count],
+                iterations=iterations, seed=1, update_posteriors=True,
+            )
+
+        run(specs[:2], 10)
+        assert _traced_peak(run, specs, self.iterations) <= self.bound
+
+
+def _traced_peak(run, *args) -> int:
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRedrawBlocks:
+    """Column redraws in row blocks equal one whole-column draw per state."""
+
+    specs = [
+        ProductSpec(posterior=BetaParams(1.0 + i % 3, 6.0 + i % 7), estimated_hours=1.0 + i % 5,
+                    key="ab"[i % 2] if i % 5 else None)
+        for i in range(30)
+    ]
+    results = [int(i % 4 == 1) for i in range(30)]  # every product completed
+
+    def chart(self, monkeypatch, cells):
+        monkeypatch.setattr(rework, "_REDRAW_CELLS", cells)
+        series = control_chart(self.specs, [1.5] * 30, self.results, iterations=53, seed=4,
+                               update_posteriors=True)
+        return np.array([[p.band_low, p.median, p.band_high] for p in series.points])
+
+    @pytest.mark.parametrize("cells", [1, 14, 15, 100, 797])
+    def test_bit_identical_to_whole_columns(self, monkeypatch, cells):
+        whole = self.chart(monkeypatch, 10**9)  # one block: the whole-column draw
+        assert self.chart(monkeypatch, cells).tobytes() == whole.tobytes()
 
 
 class TestControlLimits:
