@@ -39,15 +39,32 @@ _CHUNK_PAIRS = 8192  # pairs per kernel call: temporaries stay small next to an 
 _MIRROR_ROWS = 64  # rows per strip of the upper-to-lower copy: its transposed read stays in cache
 
 
-def _hellinger_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hellinger distances between the Beta shapes (a, b) in the rows of two k x 2 arrays."""
-    (a1, b1), (a2, b2) = p.T, q.T
+def _kernel_terms(shapes: np.ndarray) -> np.ndarray:
+    """The rows a, b, a + b of the Beta shapes in a k x 2 array, then
+    `special.stirling_omega` of each: a 6 x k table, one column per shape."""
+    a, b = shapes.T
+    table = np.array([a, b, a + b])
+    return np.concatenate([table, special.stirling_omega(table)])
+
+
+def _hellinger_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hellinger distances between the columns of two `_kernel_terms` tables."""
+    a1, b1, n1, wa1, wb1, wn1 = p
+    a2, b2, n2, wa2, wb2, wn2 = q
     da, db = 0.5 * (a1 - a2), 0.5 * (b1 - b2)
     gap = special.log_gamma_gap
-    log_bc = gap(a1, a2, da) + gap(b1, b2, db) - gap(a1 + b1, a2 + b2, da + db)
+    log_bc = (
+        gap(a1, a2, da, wa1 + wa2) + gap(b1, b2, db, wb1 + wb2)
+        - gap(n1, n2, da + db, wn1 + wn2)
+    )
     # log_bc can round a hair above 0.  -expm1(0.0) is -0.0, and whether np.maximum
     # keeps it depends on the platform; 0.0 - expm1(0.0) is +0.0
     return np.sqrt(np.maximum(0.0 - np.expm1(log_bc), 0.0))
+
+
+def _hellinger_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hellinger distances between the Beta shapes (a, b) in the rows of two k x 2 arrays."""
+    return _hellinger_terms(_kernel_terms(p), _kernel_terms(q))
 
 
 def hellinger(p: BetaParams, q: BetaParams) -> float:
@@ -79,13 +96,16 @@ def distance_matrix(
     if not posteriors:
         raise DomainError("need at least one posterior")
     n = len(posteriors)
-    shapes = np.array([(p.a, p.b) for p in posteriors])
+    # each product's omega terms once: a pair gathers its two columns
+    terms = _kernel_terms(np.array([(p.a, p.b) for p in posteriors]))
     values = np.zeros((n, n))
     rows = max(1, _CHUNK_PAIRS // n)
     for start in range(0, n, rows):
         i, j = np.nonzero(np.arange(start, start + rows)[:, None] < np.arange(n))
         i += start
-        values[i, j] = values[j, i] = _hellinger_pairs(shapes[i], shapes[j])
+        values[i, j] = values[j, i] = _hellinger_terms(
+            terms.take(i, axis=1), terms.take(j, axis=1)
+        )
     if labels is None:
         labels = range(1, n + 1)
     elif len(labels) != n:

@@ -75,9 +75,15 @@ def fmt(value) -> str:
 
 
 def round_floats(obj):
-    """Recursively round floats so JSON output is byte-stable."""
+    """Recursively round floats so JSON output is byte-stable.
+
+    A NamedTuple record becomes the mapping of its `_asdict()`, so its field
+    names reach the JSON; any other tuple becomes a list.
+    """
     if isinstance(obj, float):
         return round(obj, DECIMALS)
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

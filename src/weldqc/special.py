@@ -3,7 +3,12 @@
 Everything is done in log space so that shape parameters in the thousands
 (large inspection samples) stay well inside double precision.  The quantile
 inversion is a bracketed Newton iteration with the density as derivative and
-bisection as fallback, run to |cdf(x) - q| <= 1e-12.  Its best iterate is
+bisection as fallback, run to |cdf(x) - q| <= 1e-12.  The incomplete beta's
+continued fraction, about sqrt(a + b) terms (Numerical Recipes 6.4), is
+evaluated at the starting point and after each bisection.  A Newton step short
+enough for log f to stay nearly flat over it instead adds the density's
+integral over the step to the cdf, by 4-point Gauss-Legendre (`_cdf_step`), so
+a quantile usually costs one continued fraction.  Its best iterate is
 returned if the bracket closes to adjacent doubles first, or if it is within
 1e-8 when the iterations run out; otherwise the inversion fails.
 
@@ -29,6 +34,15 @@ _CF_MAX_ITER = 500
 
 _QUANTILE_TOL = 1e-12
 _QUANTILE_MAX_ITER = 200
+#: a Newton step whose log-density change is about this at most moves the cdf
+#: by the density's integral (`_cdf_step`) instead of a new continued fraction
+_SMOOTH_STEP = 0.05
+#: 4-point Gauss-Legendre nodes +-t on [-1, 1] and their weights, as
+#: numpy.polynomial.legendre.leggauss(4) gives them
+_GAUSS_LEGENDRE = (
+    (0.33998104358485626, 0.6521451548625464),
+    (0.8611363115940526, 0.34785484513745357),
+)
 #: largest a + b for the incomplete beta: its continued fraction needs about
 #: sqrt(a + b) terms, and beyond 1e12 its quantiles drift from scipy's
 _MAX_SHAPE_SUM = 1e12
@@ -78,12 +92,24 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def log_gamma_gap(x: np.ndarray, y: np.ndarray, half_diff: np.ndarray) -> np.ndarray:
+def stirling_omega(z: np.ndarray) -> np.ndarray:
+    """omega(max(z, 10)) elementwise: the terms of `log_gamma_gap`'s `omega_sum`.
+
+    A value below 10 is never read there, since its pair is shifted first.
+    """
+    return _stirling_remainder(np.maximum(z, _STIRLING_MIN))
+
+
+def log_gamma_gap(
+    x: np.ndarray, y: np.ndarray, half_diff: np.ndarray, omega_sum: np.ndarray
+) -> np.ndarray:
     """lgamma((x + y)/2) - (lgamma(x) + lgamma(y))/2 elementwise; <= 0 by convexity.
 
     `half_diff` is (x - y)/2, which the caller forms from the differences of
     the shapes that x and y are built from: derived from rounded x and y it
-    could lose every digit.  With m = (x + y)/2, d = |half_diff| and t = d/m,
+    could lose every digit.  `omega_sum` is omega(x) + omega(y) from
+    `stirling_omega`, so a caller that pairs the same arguments many times
+    computes each omega once.  With m = (x + y)/2, d = |half_diff| and t = d/m,
     the Stirling form reduces the gap to
 
         -[(m - 1/2) log(xy/m^2) + d log(hi/lo)]/2 + omega(m) - (omega(x) + omega(y))/2
@@ -113,13 +139,14 @@ def log_gamma_gap(x: np.ndarray, y: np.ndarray, half_diff: np.ndarray) -> np.nda
         run = int(np.searchsorted(s_lo[:run], _STIRLING_MIN))
     for a, shifted in zip((gap, lo, hi, mid), (s_gap, s_lo, s_hi, s_mid)):
         a.flat[small] = shifted
+    # omega(lo) + omega(hi) is omega(x) + omega(y) bit for bit, except where shifted
+    omega = omega_sum.copy()
+    omega.flat[small] = _stirling_remainder(s_lo) + _stirling_remainder(s_hi)
     t = d / mid
     near = np.minimum(t, 0.5)  # keeps the unused branch of np.where finite
     spread = np.where(t < 0.5, 2.0 * np.arctanh(near), np.log(hi / lo))
     gap -= 0.5 * ((mid - 0.5) * _log_ends(lo, hi, mid, t) + d * spread)
-    return gap + (
-        _stirling_remainder(mid) - 0.5 * (_stirling_remainder(lo) + _stirling_remainder(hi))
-    )
+    return gap + (_stirling_remainder(mid) - 0.5 * omega)
 
 
 def _log_ends(lo, hi, mid, t):
@@ -232,6 +259,35 @@ def _quantile_initial_guess(q: float, a: float, b: float) -> float:
     return min(max(guess, 1e-12), 1.0 - 1e-12)
 
 
+def _cdf_step(x: float, h: float, a: float, b: float, log_b: float) -> float | None:
+    """I_{x+h}(a, b) - I_x(a, b) as the integral of the density over [x, x + h],
+    or None where the step is too long for the rule.
+
+    The rule is 4-point Gauss-Legendre, used only where log f is nearly flat
+    over the step: |h| is at most half the distance to the nearer support
+    edge, and |h| (|d log f| + sqrt(|a - 1|/x^2 + |b - 1|/(1 - x)^2)) <= 0.05
+    at x.  Both are written with r = |h|/x and s = |h|/(1 - x), so nothing
+    overflows near the edges.
+    """
+    r, s = abs(h) / x, abs(h) / (1.0 - x)
+    if not max(r, s) <= 0.5:
+        return None
+    a1, b1 = a - 1.0, b - 1.0
+    if abs(a1 * r - b1 * s) + math.sqrt(abs(a1) * r * r + abs(b1) * s * s) > _SMOOTH_STEP:
+        return None
+    mid, half = x + 0.5 * h, 0.5 * h
+    total = 0.0
+    try:
+        for t, w in _GAUSS_LEGENDRE:
+            total += w * (
+                math.exp(_beta_log_pdf(mid - half * t, a, b, log_b))
+                + math.exp(_beta_log_pdf(mid + half * t, a, b, log_b))
+            )
+    except OverflowError:
+        return None
+    return half * total
+
+
 def beta_quantile(q: float, a: float, b: float) -> float:
     """Inverse of beta_cdf: the value x with I_x(a, b) = q."""
     _check_shapes(a, b)
@@ -245,9 +301,10 @@ def beta_quantile(q: float, a: float, b: float) -> float:
     lo, hi = 0.0, 1.0
     x = _quantile_initial_guess(q, a, b)
     log_b = log_beta(a, b)  # the shapes are fixed: one log B for every step
+    cdf = _beta_cdf(x, a, b, log_b)
     best_x, best_err = x, math.inf
     for _ in range(_QUANTILE_MAX_ITER):
-        err = _beta_cdf(x, a, b, log_b) - q
+        err = cdf - q
         if abs(err) < best_err:
             best_x, best_err = x, abs(err)
         if abs(err) <= _QUANTILE_TOL:
@@ -260,18 +317,17 @@ def beta_quantile(q: float, a: float, b: float) -> float:
         # near the support edges the cdf moves more than the tolerance per ulp
         if hi - lo <= 4.0 * math.ulp(hi):
             return best_x
-        step_ok = False
         try:
             pdf = math.exp(_beta_log_pdf(x, a, b, log_b))
         except OverflowError:
             pdf = 0.0
-        if pdf > 0.0 and math.isfinite(pdf):
-            candidate = x - err / pdf
-            if lo < candidate < hi:
-                x = candidate
-                step_ok = True
-        if not step_ok:
+        if 0.0 < pdf < math.inf and lo < (candidate := x - err / pdf) < hi:
+            step = _cdf_step(x, candidate - x, a, b, log_b)
+            x = candidate
+            cdf = _beta_cdf(x, a, b, log_b) if step is None else cdf + step
+        else:
             x = 0.5 * (lo + hi)
+            cdf = _beta_cdf(x, a, b, log_b)
     if best_err <= 1e-8:
         return best_x
     raise DomainError(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from weldqc import report
+from weldqc.bayes import BetaParams, CredibleInterval
 from weldqc.errors import ConfigError
 from weldqc.render import boxplot_svg, control_chart_svg, dendrogram_svg, histogram_svg
 from weldqc.streams import check_seed, derive_seed, substream
@@ -109,6 +110,13 @@ class TestFormatting:
         assert rounded["a"] == 0.123457
         assert rounded["b"][0] == 1.0
         assert rounded["b"][1]["c"] == 2.5
+
+    def test_round_floats_keeps_record_field_names(self):
+        assert report.round_floats({"prior": BetaParams(0.5, 2.5)}) == {"prior": {"a": 0.5, "b": 2.5}}
+        nested = [CredibleInterval(0.1234567891, 0.5, 0.95), (1.00000049, "x")]
+        assert report.round_floats(nested) == [
+            {"lower": 0.123457, "upper": 0.5, "level": 0.95}, [1.0, "x"]
+        ]
 
 
 class TestWriters:
