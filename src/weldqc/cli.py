@@ -12,8 +12,8 @@ artifacts as (file name, payload) pairs, and its stdout line with `{out}` for
 the output directory.  `main` is the only writer: one report header, then each
 artifact by the writer its suffix names (.csv takes (header, rows), where rows
 may be any iterable and a matrix comes as `report.matrix_lines`, .json a
-mapping, .svg the text).  An artifact name taken by a directory stops the run
-before any artifact is written.
+mapping or a record, .svg the text).  An artifact name taken by a directory
+stops the run before any artifact is written.
 
 Exit codes: 0 success, 2 input/schema error, 3 configuration error,
 4 numeric/domain error.
@@ -43,6 +43,7 @@ from .ingest import (
     DEFAULT_GROUP_BY,
     KEY_FIELDS,
     REQUIRED_COLUMNS,
+    GroupSummary,
     clean,
     filter_records,
     filter_summaries,
@@ -252,7 +253,7 @@ def _delimiter(resolved: dict) -> str:
 def _load_summaries(resolved: dict) -> tuple[list, dict]:
     """Summaries of the export's clean records that --where and the key flags select."""
     where = dict(pair.split("=", 1) for pair in resolved["where"])
-    for name in ("nps", "schedule", "material", "weld_kind"):
+    for name in DEFAULT_GROUP_BY:
         value = resolved.get(name)
         if value is not None and where.setdefault(name, value) != value:
             raise ConfigError(f"{name} {value!r} contradicts where {name}={where[name]}")
@@ -263,8 +264,8 @@ def _load_summaries(resolved: dict) -> tuple[list, dict]:
     summaries = summarize(counts, tuple(resolved["group_by"]))
     info = {
         "rows_parsed": parsed.counts.total(),
-        "parse_issues": [issue._asdict() for issue in parsed.issues],
-        "rejections": rejections.as_dict(),
+        "parse_issues": parsed.issues,
+        "rejections": rejections.reasons,
         "rows_kept": counts.total(),
     }
     return summaries, info
@@ -278,16 +279,10 @@ def cmd_summarize(resolved: dict) -> tuple[Artifacts, str]:
     summaries = filter_summaries(summaries, min_inspected=resolved["min_inspected"])
 
     key_fields = [f for f in KEY_FIELDS if f in resolved["group_by"]]
-    count_fields = ["total_welds", "inspected_welds", "repaired_welds"]
-    rows = [
-        [getattr(s.key, f) for f in key_fields] + [getattr(s, f) for f in count_fields]
-        for s in summaries
-    ]
-    groups = [
-        {"key": s.key.as_dict(), **{f: getattr(s, f) for f in count_fields}} for s in summaries
-    ]
+    rows = [[getattr(s.key, f) for f in key_fields] + list(s[1:]) for s in summaries]
+    groups = [{**s._asdict(), "key": s.key.as_dict()} for s in summaries]
     return [
-        ("summary.csv", (key_fields + count_fields, rows)),
+        ("summary.csv", (key_fields + list(GroupSummary._fields[1:]), rows)),
         ("summary.json", {"groups": groups}),
         ("rejections.json", ingest_info),
     ], f"wrote {len(summaries)} group summaries to {{out}}"
@@ -304,10 +299,7 @@ def cmd_interval(resolved: dict) -> tuple[Artifacts, str]:
     interval = credible_interval(params, alpha)
 
     payload = {
-        "counts": counts._asdict(),
-        "prior": prior._asdict(),
-        "posterior": params._asdict(),
-        "credible_interval": interval._asdict(),
+        "counts": counts, "prior": prior, "posterior": params, "credible_interval": interval,
     }
     if resolved["classical"]:
         classical = {}
@@ -361,10 +353,9 @@ def cmd_operators(resolved: dict) -> tuple[Artifacts, str]:
 
     ids = [summary.key.operator_id for summary, _, _ in ranked]
     header = ["operator_id", "inspected_welds", "repaired_welds"]
-    header += ["whisker_low", "q1", "median", "q3", "whisker_high"]
+    header += mcmc.FiveNumberSummary._fields[:5]
     rows = [
-        [summary.key.operator_id, summary.inspected_welds, summary.repaired_welds]
-        + [five.whisker_low, five.q1, five.median, five.q3, five.whisker_high]
+        [summary.key.operator_id, summary.inspected_welds, summary.repaired_welds, *five[:5]]
         for summary, _, five in ranked
     ]
     return [
@@ -380,7 +371,11 @@ def cmd_operators(resolved: dict) -> tuple[Artifacts, str]:
 # ---------------------------------------------------------------- complexity
 
 
-def _counts_from_file(path: str, delimiter: str) -> list[dict]:
+#: a complexity row: label, counts and total welds (None where not known)
+CountRow = tuple[str, CountData, int | None]
+
+
+def _counts_from_file(path: str, delimiter: str) -> list[CountRow]:
     """Counts table: label, inspected, repaired[, total] with a header row."""
     with open_table(path, "counts file") as handle:
         reader = csv.DictReader(handle, delimiter=delimiter, restval="")
@@ -399,14 +394,7 @@ def _counts_from_file(path: str, delimiter: str) -> list[dict]:
             total = _integer(record["total"]) if record.get("total") else None
             if total is not None and total < counts.inspected:
                 raise ValueError(f"total {total} is below inspected {counts.inspected}")
-            rows.append(
-                {
-                    "label": record["label"].strip(),
-                    "inspected": counts.inspected,
-                    "repaired": counts.failed,
-                    "total": total,
-                }
-            )
+            rows.append((record["label"].strip(), counts, total))
     return rows
 
 
@@ -416,26 +404,26 @@ def cmd_complexity(resolved: dict) -> tuple[Artifacts, str]:
     elif resolved["input"]:
         summaries, _ = _load_summaries(resolved)
         rows = [
-            {
-                "label": "(" + ", ".join(s.key.as_dict().values()) + ")",
-                "inspected": s.inspected_welds,
-                "repaired": s.repaired_welds,
-                "total": s.total_welds,
-            }
+            (
+                "(" + ", ".join(s.key.as_dict().values()) + ")",
+                CountData(s.repaired_welds, s.inspected_welds),
+                s.total_welds,
+            )
             for s in summaries
         ]
     else:
         raise ConfigError("complexity requires --input or --counts")
 
-    totals_known = all(r["total"] is not None for r in rows)
-    rows.sort(key=lambda r: (-(r["total"] if totals_known else r["inspected"]), r["label"]))
+    totals_known = all(total is not None for _, _, total in rows)
+    rows.sort(key=lambda r: (-(r[2] if totals_known else r[1].inspected), r[0]))
     rows = rows[: resolved["top"]]
+    k = resolved["clusters"] or min(7, len(rows))
+    if k > len(rows):
+        raise ConfigError(f"clusters ({k}) must not exceed the product types ({len(rows)})")
 
     prior = BetaParams(*resolved["prior"])
-    posteriors = [
-        posterior(CountData(r["repaired"], r["inspected"]), prior) for r in rows
-    ]
-    labels = [r["label"] for r in rows]
+    posteriors = [posterior(counts, prior) for _, counts, _ in rows]
+    labels = [label for label, _, _ in rows]
     scores = complexity.complexity_scores(posteriors)
     matrix = complexity.distance_matrix(posteriors, labels)
     cluster_input = (
@@ -444,9 +432,8 @@ def cmd_complexity(resolved: dict) -> tuple[Artifacts, str]:
         else matrix
     )
     tree = complexity.agglomerative_cluster(cluster_input)
-    k = resolved["clusters"] or min(7, len(rows))
     assignments = complexity.cut(tree, k)
-    totals = [r["total"] for r in rows] if totals_known else None
+    totals = [total for _, _, total in rows] if totals_known else None
     cluster_labels = complexity.label_clusters(assignments, scores, totals)
 
     letter_of = {}
@@ -454,8 +441,8 @@ def cmd_complexity(resolved: dict) -> tuple[Artifacts, str]:
         for member in label.members:
             letter_of[member] = label.letter
     score_rows = [
-        [r["label"], r["inspected"], r["repaired"], s.median, s.raw, s.scaled, letter_of[i]]
-        for i, (r, s) in enumerate(zip(rows, scores))
+        [label, counts.inspected, counts.failed, s.median, s.raw, s.scaled, letter_of[i]]
+        for i, ((label, counts, _), s) in enumerate(zip(rows, scores))
     ]
     cluster_rows = [
         [
@@ -617,22 +604,13 @@ def cmd_rework(resolved: dict) -> tuple[Artifacts, str]:
         "mean": estimate.mean,
         "iterations": estimate.iterations,
         "quantiles": quantiles,
-        "limits": limits._asdict(),
+        "limits": limits,
     }
-    chart_rows = [
-        [p.state, p.median, p.band_low, p.band_high, p.accrued_actual_hours, p.flag]
-        for p in series.points
-    ]
     return [
         ("rework_quantiles.csv", quantile_table),
         ("rework.json", summary),
-        ("control_chart.csv", (
-            ["state", "median", "band_low", "band_high", "accrued_actual_hours", "flag"],
-            chart_rows,
-        )),
-        ("control_chart.json", {
-            "limits": limits._asdict(), "points": [p._asdict() for p in series.points],
-        }),
+        ("control_chart.csv", (rework.StatePoint._fields, series.points)),
+        ("control_chart.json", series),
         ("control_chart.svg", render.control_chart_svg(series)),
     ], (
         f"rework estimate median {report.fmt(limits.cl)} h "

@@ -109,9 +109,6 @@ class RejectionReport(NamedTuple):
     def dropped(self) -> int:
         return sum(self.reasons.values())
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(sorted(self.reasons.items()))
-
 
 class GroupKey(NamedTuple):
     """A group's key fields, in KEY_FIELDS order; a field not grouped by is None."""

@@ -22,11 +22,13 @@ import numpy as np
 from . import __version__
 
 DECIMALS = 6
+#: the `%` format of a float cell
+_FLOAT = f"%.{DECIMALS}f"
 _UNITS = 10**DECIMALS
 #: cells per block of `matrix_lines`: its transient arrays are a few bytes per cell
 _BLOCK_CELLS = 16384
 #: below 10, v * 1e6 is within 1e-9 of its exact value; a scaled cell this close
-#: to a half unit may round either way, so '%.6f' decides it
+#: to a half unit may round either way, so _FLOAT decides it
 _TIE = 1e-8
 
 
@@ -44,7 +46,7 @@ def _template(kinds: tuple[type, ...]) -> tuple[str, tuple[int, ...], tuple[int,
     A float (or subclass, such as numpy's float64) takes six decimals; a bool
     or None is replaced by its word from _WORDS; anything else is its `str`.
     """
-    specs = (f"%.{DECIMALS}f" if issubclass(kind, float) else "%s" for kind in kinds)
+    specs = (_FLOAT if issubclass(kind, float) else "%s" for kind in kinds)
     words = tuple(i for i, kind in enumerate(kinds) if kind is bool or kind is type(None))
     texts = tuple(i for i, kind in enumerate(kinds) if issubclass(kind, str))
     return ",".join(specs), words, texts
@@ -94,7 +96,7 @@ def round_floats(obj):
 def meta(command: str, config: Mapping, seed) -> dict:
     return {
         "command": command,
-        "config": round_floats(dict(sorted(config.items()))),
+        "config": round_floats(config),
         "seed": seed,
         "version": __version__,
     }
@@ -139,7 +141,7 @@ def matrix_lines(labels: Sequence, values: np.ndarray) -> Iterator[str]:
     """The CSV line of each matrix row: `_format_row([label] + row.tolist())`.
 
     The cells are formatted a block of rows at a time by `_block_text`, so
-    its arrays stay small next to the matrix; '%.6f' writes each cell outside
+    its arrays stay small next to the matrix; _FLOAT writes each cell outside
     its mask.
     """
     values = np.asarray(values, dtype=np.float64)
@@ -153,7 +155,7 @@ def matrix_lines(labels: Sequence, values: np.ndarray) -> Iterator[str]:
             if not row_fits.all():
                 cells = cells.split(",")
                 for j in np.flatnonzero(~row_fits):
-                    cells[j] = "%.6f" % row[j]
+                    cells[j] = _FLOAT % row[j]
                 cells = ",".join(cells)
             yield fmt(label) + "," + cells
 
@@ -194,9 +196,9 @@ def write_table(
     write_text(path, "\n".join(lines) + "\n")
 
 
-def write_json(path: Path, payload: Mapping, info: Mapping) -> None:
-    document = {"meta": info}
-    document.update(round_floats(dict(payload)))
+def write_json(path: Path, payload: Mapping | tuple, info: Mapping) -> None:
+    """The payload, a mapping or a NamedTuple record, with "meta" beside its keys."""
+    document = {"meta": info, **round_floats(payload)}
     write_text(path, json.dumps(document, sort_keys=True, indent=2) + "\n")
 
 

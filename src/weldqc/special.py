@@ -231,17 +231,14 @@ def beta_cdf(x: float, a: float, b: float) -> float:
 def _beta_cdf(x: float, a: float, b: float, log_b: float) -> float:
     """beta_cdf for positive shapes and x in (0, 1), given log_b = log B(a, b).
 
-    log_beta is symmetric bit for bit, so log_b also serves as log B(b, a).
+    log_beta is symmetric bit for bit, so log_b and the one prefactor serve
+    both I_x(a, b) and 1 - I_{1-x}(b, a).
     """
-    log_front = (
-        a * math.log(x) + b * math.log1p(-x) - log_b
-    )
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_b)
     # symmetry split keeps the continued fraction in its fast-converging region
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(log_front) * _betacf(x, a, b) / a
-    return 1.0 - math.exp(
-        b * math.log1p(-x) + a * math.log(x) - log_b
-    ) * _betacf(1.0 - x, b, a) / b
+        return front * _betacf(x, a, b) / a
+    return 1.0 - front * _betacf(1.0 - x, b, a) / b
 
 
 def _quantile_initial_guess(q: float, a: float, b: float) -> float:

@@ -755,6 +755,15 @@ MALFORMED_INPUTS = {
         {"counts.csv": _COUNTS}, ["complexity", "--counts", "counts.csv", "--clusters", "0"], 3,
         "clusters",
     ),
+    "flag-clusters-above-product-types": (
+        {"counts.csv": _COUNTS}, ["complexity", "--counts", "counts.csv", "--clusters", "5"], 3,
+        "clusters (5) must not exceed the product types (2)",
+    ),
+    "flag-clusters-above-top": (
+        {"counts.csv": _COUNTS},
+        ["complexity", "--counts", "counts.csv", "--top", "1", "--clusters", "2"], 3,
+        "clusters (2) must not exceed the product types (1)",
+    ),
     "config-min-inspected-negative": (
         {"export.csv": _EXPORT.encode(), "config.json": _json_bytes({"min_inspected": -1})},
         ["summarize", "--input", "export.csv", "--config", "config.json"], 3, "min_inspected",

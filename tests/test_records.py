@@ -367,4 +367,4 @@ def test_mutable_fields_are_not_shared():
         assert cls._field_defaults == {}
     _, report = ingest.clean(Counter({ingest.WeldRecord("1", "BW", "", "2", "M", "0", 1): 3}))
     _, empty = ingest.clean(Counter())
-    assert report.as_dict() == {"blank_field": 3} and empty.as_dict() == {}
+    assert report.reasons == {"blank_field": 3} and empty.reasons == {}
