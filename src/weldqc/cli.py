@@ -403,6 +403,8 @@ def cmd_complexity(resolved: dict) -> tuple[Artifacts, str]:
         rows = _counts_from_file(resolved["counts"], _delimiter(resolved))
     elif resolved["input"]:
         summaries, _ = _load_summaries(resolved)
+        if not summaries:
+            raise ConfigError("no product type matches the record filters")
         rows = [
             (
                 "(" + ", ".join(s.key.as_dict().values()) + ")",

@@ -228,11 +228,16 @@ def agglomerative_cluster(matrix: HellingerMatrix) -> ClusterTree:
     pair, so the same distance matrix always gives the same dendrogram.  Only the
     upper triangle of the matrix is read.
 
-    The working matrix holds one slot per active cluster (retired slots and
-    the diagonal are inf); a merge writes the elementwise maximum of its two
-    rows into the lower slot (the Lance-Williams update for complete
-    linkage).  Each slot's smallest distance is cached and recomputed only
-    when the merge may have removed it.
+    The working matrix holds one slot per active cluster (retired columns and
+    the diagonal are inf), and each slot caches its smallest distance: NaN once
+    retired, which `np.fmin.reduce` and `==` skip.  A merge takes the smallest
+    cache and the slots holding it; by symmetry each is in a pair at that
+    height, so two such slots are the pair.  With more, the pair is the tied
+    slot with the smallest cluster id and its partner at that height with the
+    smallest id: the smallest (low id, high id) pair.  Slot b then retires;
+    row a takes the elementwise maximum of rows a and b in place (the
+    Lance-Williams update for complete linkage) and is mirrored into column a.
+    Only a and the slots whose cache was a distance to a or b recompute it.
     """
     n = matrix.size
     upper = np.triu_indices(n, 1)
@@ -241,27 +246,27 @@ def agglomerative_cluster(matrix: HellingerMatrix) -> ClusterTree:
         raise DomainError("distances must be finite")
     dist = np.full((n, n), np.inf)
     dist[upper] = dist[upper[::-1]] = pairs
-    cluster_id = np.arange(n)
+    cluster_id = list(range(n))
     nearest = dist.min(axis=1, initial=np.inf)
     merges: list[Merge] = []
     for step in range(n - 1):
-        height = nearest.min()
-        tied = np.flatnonzero(nearest == height)
-        rows, cols = np.nonzero(dist[tied] == height)
-        rows = tied[rows]
-        low = np.minimum(cluster_id[rows], cluster_id[cols])
-        high = np.maximum(cluster_id[rows], cluster_id[cols])
-        best = np.argmin(low * (2 * n) + high)
-        a, b = sorted((rows[best], cols[best]))
-        merges.append(Merge(left=int(low[best]), right=int(high[best]), height=float(height)))
-        # rows whose nearest cluster may have been a or b
-        stale = (nearest == dist[a]) | (nearest == dist[b])
-        dist[a] = dist[:, a] = np.maximum(dist[a], dist[b])
-        dist[a, a] = np.inf
-        dist[b] = dist[:, b] = np.inf
-        nearest[b] = np.inf
+        height = np.fmin.reduce(nearest)
+        tied = (nearest == height).nonzero()[0].tolist()
+        if len(tied) == 2:
+            a, b = tied
+        else:
+            a = min(tied, key=cluster_id.__getitem__)
+            b = min((dist[a] == height).nonzero()[0].tolist(), key=cluster_id.__getitem__)
+        left, right = sorted((cluster_id[a], cluster_id[b]))
+        merges.append(Merge(left=left, right=right, height=float(height)))
+        nearest[b] = np.nan
+        row = dist[a]
+        stale = (nearest == row) | (nearest == dist[b])
         stale[a] = True
-        stale &= np.isfinite(nearest)
+        stale = stale.nonzero()[0]
+        np.maximum(row, dist[b], out=row)
+        dist[:, a] = row
+        dist[:, b] = np.inf
         nearest[stale] = dist[stale].min(axis=1)
         cluster_id[a] = n + step
     return ClusterTree(n_leaves=n, labels=matrix.labels, merges=tuple(merges))

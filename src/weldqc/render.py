@@ -119,9 +119,9 @@ def dendrogram_svg(tree) -> str:
     max_h = max((max(a[1], b[1]) for a, b in segments), default=1.0)
     to_x = _scale(-0.5, len(order) - 0.5, MARGIN, W - MARGIN)
     to_y = _scale(0.0, max_h if max_h > 0 else 1.0, H - MARGIN, MARGIN)
-    parts = []
-    for (x1, y1), (x2, y2) in segments:
-        parts.append(_line(to_x(x1), to_y(y1), to_x(x2), to_y(y2)))
+    # one template for every segment: "%.1f" % v prints what _line's f"{v:.1f}" does
+    line = '<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#333" stroke-width="1.0"/>'
+    parts = [line % (to_x(x1), to_y(y1), to_x(x2), to_y(y2)) for (x1, y1), (x2, y2) in segments]
     for pos, leaf in enumerate(order):
         parts.append(_text(to_x(pos), H - MARGIN + 14, tree.labels[leaf], size=8))
     return _svg(parts)

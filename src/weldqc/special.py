@@ -169,38 +169,43 @@ def _beta_log_pdf(x: float, a: float, b: float, log_b: float) -> float:
 
 def _betacf(x: float, a: float, b: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
+    tiny, eps = _CF_TINY, _CF_EPS
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
+    if abs(d) < tiny:
+        d = tiny
     d = 1.0 / d
     h = d
+    # a float term counter gives an int counter's bits without converting it per use;
     # the number of terms needed grows like sqrt(max(a, b)) (Numerical Recipes 6.4)
-    for m in range(1, _CF_MAX_ITER + math.isqrt(int(qab)) + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    m = 0.0
+    for _ in range(_CF_MAX_ITER + math.isqrt(int(qab))):
+        m += 1.0
+        m2 = m + m
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
+        if abs(d) < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
+        if abs(c) < tiny:
+            c = tiny
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
+        if abs(d) < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
+        if abs(c) < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        if abs(delta - 1.0) < eps:
             return h
     raise DomainError(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"

@@ -647,6 +647,11 @@ MALFORMED_INPUTS = {
         {"counts.csv": _COUNTS + "c,30,3\nMat\xe9rial,40,4\n".encode("latin-1")},
         ["complexity", "--counts", "counts.csv"], 2, "counts file is not a valid UTF-8 table",
     ),
+    "complexity-filters-select-no-type": (
+        {"export.csv": (HEADER + "\n11,BW,STD,2,Material A,0,1\n").encode()},
+        ["complexity", "--input", "export.csv", "--where", "material=Z"], 3,
+        "no product type matches the record filters",
+    ),
     "config-iterations-text": (
         {"design.json": _DESIGN, "config.json": _json_bytes({"iterations": "abc"})},
         ["forecast", "--design", "design.json", "--config", "config.json"], 3, "iterations",

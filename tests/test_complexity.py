@@ -490,6 +490,28 @@ class TestClustering:
             matrix = HellingerMatrix(tuple(map(str, range(n))), values + values.T)
             assert agglomerative_cluster(matrix).merges == _reference_linkage(matrix)
 
+    def test_matches_brute_force_on_tied_matrices(self):
+        rng = np.random.default_rng(28)
+        for _ in range(300):
+            n = int(rng.integers(2, 15))
+            values = np.triu(rng.integers(0, 4, size=(n, n)).astype(float), 1)
+            matrix = HellingerMatrix(tuple(map(str, range(n))), values + values.T)
+            assert agglomerative_cluster(matrix).merges == _brute_force_linkage(matrix)
+
+    def test_three_clusters_tied_at_one_height(self):
+        # {2, 5} becomes cluster 6 and {0, 4} cluster 7; then clusters 7, 6 and
+        # leaf 3 are all 0.5 apart, and the smallest id pair (3, 6) merges first
+        values = np.full((6, 6), 0.5)
+        values[1, :] = values[:, 1] = 0.9
+        values[2, 5] = values[5, 2] = 0.1
+        values[0, 4] = values[4, 0] = 0.2
+        np.fill_diagonal(values, 0.0)
+        matrix = HellingerMatrix(tuple("abcdef"), values)
+        expected = (Merge(2, 5, 0.1), Merge(0, 4, 0.2), Merge(3, 6, 0.5), Merge(7, 8, 0.5),
+                    Merge(1, 9, 0.9))
+        assert _brute_force_linkage(matrix) == expected
+        assert agglomerative_cluster(matrix).merges == expected
+
     @pytest.mark.parametrize("n", [35, 200, 400])
     def test_heights_match_scipy(self, n):
         hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
@@ -532,6 +554,25 @@ def _reference_linkage(matrix):
         members[next_id] = merged
         merges.append(Merge(left=left, right=right, height=height))
         next_id += 1
+    return tuple(merges)
+
+
+def _brute_force_linkage(matrix):
+    """Complete linkage by rescanning every cluster pair's member pairs at each
+    merge, O(n^3) in all: the smallest (height, low id, high id) merges, and
+    merge k creates cluster n + k.  Unlike `_reference_linkage` it takes no
+    Lance-Williams update, so it checks that update as well as the tie rule."""
+    n = matrix.size
+    dist = matrix.values.tolist()
+    clusters = {i: (i,) for i in range(n)}
+    merges = []
+    for step in range(n - 1):
+        height, left, right = min(
+            (max(dist[i][j] for i in clusters[low] for j in clusters[high]), low, high)
+            for low in clusters for high in clusters if low < high
+        )
+        clusters[n + step] = clusters.pop(left) + clusters.pop(right)
+        merges.append(Merge(left=left, right=right, height=height))
     return tuple(merges)
 
 

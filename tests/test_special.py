@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from scipy import integrate, special as sp
 
 from weldqc import special
+from weldqc.bayes import CountData, posterior
 from weldqc.errors import DomainError
 
 
@@ -297,6 +300,83 @@ class TestBetaQuantile:
             special.beta_quantile(0.5, *shapes)
         with pytest.raises(DomainError, match="sum to at most"):
             special.beta_cdf(0.5, *shapes)
+
+
+def _integer_counter_betacf(x, a, b):
+    """`special._betacf` with an integer term counter: the reference the
+    float counter must equal bit for bit."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < special._CF_TINY:
+        d = special._CF_TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, special._CF_MAX_ITER + math.isqrt(int(qab)) + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < special._CF_TINY:
+            d = special._CF_TINY
+        c = 1.0 + aa / c
+        if abs(c) < special._CF_TINY:
+            c = special._CF_TINY
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < special._CF_TINY:
+            d = special._CF_TINY
+        c = 1.0 + aa / c
+        if abs(c) < special._CF_TINY:
+            c = special._CF_TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < special._CF_EPS:
+            return h
+    raise AssertionError(f"no convergence at x={x}, a={a}, b={b}")
+
+
+def _portfolio_counts(seed):
+    """(failed, inspected) of the benchmark's `portfolio` counts table at a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    files, _ = inputs.portfolio(np.random.default_rng(seed))
+    rows = [line.split(",") for line in files["counts.csv"].decode().splitlines()[1:]]
+    return [(int(row[2]), int(row[1])) for row in rows]
+
+
+class TestContinuedFraction:
+    def test_float_counter_matches_integer_counter_on_grid(self):
+        branches = set()
+        for a in GRID_SHAPES:
+            for b in GRID_SHAPES:
+                for x in (1e-6, 0.01, 0.1, 0.5, 0.9):
+                    # the symmetry branch `_beta_cdf` takes
+                    lower = x < (a + 1.0) / (a + b + 2.0)
+                    args = (x, a, b) if lower else (1.0 - x, b, a)
+                    branches.add(lower)
+                    assert special._betacf(*args) == _integer_counter_betacf(*args), args
+        assert branches == {True, False}
+
+    def test_float_counter_matches_integer_counter_on_portfolio_medians(self, monkeypatch):
+        calls = []
+        betacf = special._betacf
+
+        def recording(*args):
+            calls.append(args)
+            return betacf(*args)
+
+        monkeypatch.setattr(special, "_betacf", recording)
+        for failed, inspected in _portfolio_counts(101):
+            posterior(CountData(failed, inspected)).median
+        monkeypatch.undo()
+        assert len(calls) >= 400
+        for args in calls:
+            assert special._betacf(*args) == _integer_counter_betacf(*args), args
 
 
 def test_beta_pdf_integrates_to_cdf():
