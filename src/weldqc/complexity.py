@@ -92,20 +92,30 @@ class HellingerMatrix(NamedTuple):
 def distance_matrix(
     posteriors: Sequence[BetaParams], labels: Sequence[str] | None = None
 ) -> HellingerMatrix:
-    """All pairwise Hellinger distances; symmetric with a zero diagonal."""
+    """All pairwise Hellinger distances; symmetric with a zero diagonal.
+
+    Products are taken in ascending order of their smaller shape, so the pairs
+    whose Stirling terms need shifting (a shape below 10) all fall in the
+    first row chunks and `special.log_gamma_gap` skips the shift in the rest.
+    The order moves no bit: `_hellinger_terms` is exactly symmetric in its two
+    arguments (min/max, |half_diff| and sums that commute; a difference only
+    changes sign), so a pair taken as (j, i) gives what (i, j) gives.
+    """
     if not posteriors:
         raise DomainError("need at least one posterior")
     n = len(posteriors)
     # each product's omega terms once: a pair gathers its two columns
     terms = _kernel_terms(np.array([(p.a, p.b) for p in posteriors]))
+    order = np.argsort(np.minimum(terms[0], terms[1]), kind="stable")
+    terms = terms[:, order]
     values = np.zeros((n, n))
     rows = max(1, _CHUNK_PAIRS // n)
     for start in range(0, n, rows):
         i, j = np.nonzero(np.arange(start, start + rows)[:, None] < np.arange(n))
         i += start
-        values[i, j] = values[j, i] = _hellinger_terms(
-            terms.take(i, axis=1), terms.take(j, axis=1)
-        )
+        distances = _hellinger_terms(terms.take(i, axis=1), terms.take(j, axis=1))
+        i, j = order[i], order[j]
+        values[i, j] = values[j, i] = distances
     if labels is None:
         labels = range(1, n + 1)
     elif len(labels) != n:
@@ -373,7 +383,11 @@ def dendrogram_segments(
 
     Leaves sit at integer x positions (crossing-free order) and height is y.
     """
-    order = leaf_order(tree)
+    return _segments(tree, leaf_order(tree))
+
+
+def _segments(tree: ClusterTree, order: Sequence[int]):
+    """`dendrogram_segments` with the tree's `leaf_order` given."""
     x = {leaf: float(pos) for pos, leaf in enumerate(order)}
     height = {leaf: 0.0 for leaf in range(tree.n_leaves)}
     segments = []

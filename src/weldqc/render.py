@@ -112,13 +112,13 @@ def control_chart_svg(series) -> str:
 
 
 def dendrogram_svg(tree) -> str:
-    from .complexity import dendrogram_segments, leaf_order
+    from .complexity import _segments, leaf_order
 
-    segments = dendrogram_segments(tree)
     order = leaf_order(tree)
-    max_h = max((max(a[1], b[1]) for a, b in segments), default=1.0)
+    segments = _segments(tree, order)
     to_x = _scale(-0.5, len(order) - 0.5, MARGIN, W - MARGIN)
-    to_y = _scale(0.0, max_h if max_h > 0 else 1.0, H - MARGIN, MARGIN)
+    # the top merge sets the scale; _scale spans 1.0 when it is not above 0
+    to_y = _scale(0.0, max((m.height for m in tree.merges), default=0.0), H - MARGIN, MARGIN)
     # one template for every segment: "%.1f" % v prints what _line's f"{v:.1f}" does
     line = '<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#333" stroke-width="1.0"/>'
     parts = [line % (to_x(x1), to_y(y1), to_x(x2), to_y(y2)) for (x1, y1), (x2, y2) in segments]

@@ -124,24 +124,26 @@ def log_gamma_gap(
     mid = 0.5 * (x + y)
     d = np.abs(half_diff)
     gap = np.zeros(mid.shape)
+    omega = omega_sum
     # shift only the pairs below 10, in compact copies sorted by lo: the pairs
     # still below 10 stay a leading run that shrinks, and one scatter ends it
     small = np.flatnonzero(lo < _STIRLING_MIN)
-    small = small[np.argsort(lo.flat[small], kind="stable")]
-    s_lo, s_hi, s_mid, s_d = (a.flat[small] for a in (lo, hi, mid, d))
-    s_gap = np.zeros(small.size)
-    run = small.size
-    while run:
-        s_gap[:run] += 0.5 * _log_ends(s_lo[:run], s_hi[:run], s_mid[:run], s_d[:run] / s_mid[:run])
-        s_lo[:run] += 1.0
-        s_hi[:run] += 1.0
-        s_mid[:run] += 1.0
-        run = int(np.searchsorted(s_lo[:run], _STIRLING_MIN))
-    for a, shifted in zip((gap, lo, hi, mid), (s_gap, s_lo, s_hi, s_mid)):
-        a.flat[small] = shifted
-    # omega(lo) + omega(hi) is omega(x) + omega(y) bit for bit, except where shifted
-    omega = omega_sum.copy()
-    omega.flat[small] = _stirling_remainder(s_lo) + _stirling_remainder(s_hi)
+    if small.size:
+        small = small[np.argsort(lo.flat[small], kind="stable")]
+        s_lo, s_hi, s_mid, s_d = (a.flat[small] for a in (lo, hi, mid, d))
+        s_gap = np.zeros(small.size)
+        run = small.size
+        while run:
+            s_gap[:run] += 0.5 * _log_ends(s_lo[:run], s_hi[:run], s_mid[:run], s_d[:run] / s_mid[:run])
+            s_lo[:run] += 1.0
+            s_hi[:run] += 1.0
+            s_mid[:run] += 1.0
+            run = int(np.searchsorted(s_lo[:run], _STIRLING_MIN))
+        for a, shifted in zip((gap, lo, hi, mid), (s_gap, s_lo, s_hi, s_mid)):
+            a.flat[small] = shifted
+        # omega(lo) + omega(hi) is omega(x) + omega(y) bit for bit, except where shifted
+        omega = omega_sum.copy()
+        omega.flat[small] = _stirling_remainder(s_lo) + _stirling_remainder(s_hi)
     t = d / mid
     near = np.minimum(t, 0.5)  # keeps the unused branch of np.where finite
     spread = np.where(t < 0.5, 2.0 * np.arctanh(near), np.log(hi / lo))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from weldqc import complexity, special
 from weldqc.bayes import JEFFREYS, BetaParams, CountData, posterior
 from weldqc.complexity import (
     HellingerMatrix,
@@ -33,6 +34,7 @@ from refdata import (
     EIGHT_PRODUCT_MEDIANS,
     EIGHT_PRODUCT_SCORES,
 )
+from test_special import _portfolio_counts
 
 
 def eight_posteriors():
@@ -290,6 +292,49 @@ class TestDistanceMatrix:
             for j, q in enumerate(posteriors):
                 if i != j:
                     assert values[i, j] == hellinger(p, q)
+
+    @pytest.mark.parametrize("chunk_pairs", [complexity._CHUNK_PAIRS, 64])
+    def test_small_shapes_anywhere_give_pairwise_hellinger_bit_for_bit(
+        self, monkeypatch, chunk_pairs
+    ):
+        # 64 pairs a chunk splits the 24 products into twelve row chunks
+        monkeypatch.setattr(complexity, "_CHUNK_PAIRS", chunk_pairs)
+        rng = np.random.default_rng(29)
+        large = [BetaParams(float(a), float(b)) for a, b in rng.uniform(10.5, 300.0, (14, 2))]
+        tiny, a_small, b_small, ten = (
+            BetaParams(0.5, 3.5), BetaParams(3.5, 250.0), BetaParams(400.0, 2.5),
+            BetaParams(10.0, 120.5),
+        )
+        # below 10: a, b and a + b; exactly 10; duplicates; first, last and between
+        posteriors = (
+            [tiny, large[0], ten, *large[1:5], a_small, *large[5:9], tiny, BetaParams(12.0, 10.0)]
+            + [*large[9:], ten, b_small]
+        )
+        n = len(posteriors)
+        values = distance_matrix(posteriors).values
+        assert not np.signbit(values).any()
+        for i, p in enumerate(posteriors):
+            for j, q in enumerate(posteriors):
+                assert values[i, j] == (hellinger(p, q) if i != j else 0.0), (i, j)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(n)
+            permuted = distance_matrix([posteriors[k] for k in order]).values
+            assert np.array_equal(permuted, values[np.ix_(order, order)])
+            assert np.array_equal(np.signbit(permuted), np.signbit(values[np.ix_(order, order)]))
+
+    def test_shifts_run_only_in_the_chunks_that_need_them(self, monkeypatch):
+        calls = []
+        log_ends = special._log_ends
+
+        def counting(*args):
+            calls.append(args)
+            return log_ends(*args)
+
+        posteriors = [posterior(CountData(failed, n)) for failed, n in _portfolio_counts(101)]
+        monkeypatch.setattr(special, "_log_ends", counting)
+        distance_matrix(posteriors)
+        # products ordered by smaller shape: 80 calls; in input order every chunk shifts, 251
+        assert len(calls) <= 100
 
 
 class TestProfileMatrix:

@@ -124,6 +124,28 @@ class TestStirlingForms:
             equal = x == y
             assert np.all(got[equal] == 0.0) and not np.signbit(got[equal]).any()
 
+    def test_log_gamma_gap_without_small_arguments_skips_the_shift(self, monkeypatch):
+        # 10 is not shifted; (30, 10) sits at t = 1/2
+        grid = np.array([10.0, 10.5, 30.0, 37.25, 1e5, 1e11])
+        x, y = (a.ravel() for a in np.meshgrid(grid, grid))
+        omega = omega_sum(x, y)
+        given = omega.copy()
+        calls = []
+        log_ends = special._log_ends
+
+        def counting(*args):
+            calls.append(args)
+            return log_ends(*args)
+
+        monkeypatch.setattr(special, "_log_ends", counting)
+        got = special.log_gamma_gap(x, y, 0.5 * (x - y), omega)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        want = masked_loop_gap(x, y, 0.5 * (x - y))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(omega, given)
+
     def test_log_gamma_gap_of_identical_arguments_is_zero(self):
         x = np.array([0.5, 3.0, 9.75, 10.0, 2.5e3, 1e9])
         gap = special.log_gamma_gap(x, x.copy(), np.zeros_like(x), omega_sum(x, x))
