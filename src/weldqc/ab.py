@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .mcmc import _draw_values
+from .mcmc import draw_values
 from .streams import derive_seed, substream
 
 DEFAULT_RESAMPLES = 100_000
@@ -38,10 +38,8 @@ class ComparisonResult(NamedTuple):
 
 def prob_greater(draws_a, draws_b, n: int = DEFAULT_RESAMPLES, seed: int = 0) -> ComparisonResult:
     """P(FN_A >= FN_B) over n paired resamples, deterministic given seed."""
-    a = _draw_values(draws_a)
-    b = _draw_values(draws_b)
-    if len(a) == 0 or len(b) == 0:
-        raise DomainError("both draw lists must be non-empty")
+    a = draw_values(draws_a)
+    b = draw_values(draws_b)
     if n < 1:
         raise DomainError(f"need at least one resample, got {n}")
     rng = substream(seed)
@@ -57,7 +55,7 @@ def pairwise_matrix(chains, n: int = DEFAULT_RESAMPLES, seed: int = 0) -> np.nda
     Each off-diagonal cell runs on its own substream (seed, i, j) so the
     matrix is reproducible cell-by-cell.
     """
-    values = [_draw_values(c) for c in chains]
+    values = [draw_values(c) for c in chains]
     if not values:
         raise DomainError("need at least one chain")
     size = len(values)
@@ -80,12 +78,10 @@ def exact_matrix(chains) -> np.ndarray:
     the distinct draws.  Counts are exact integers, and a NaN draw, which has
     no order, is a DomainError.
     """
-    values = [_draw_values(c) for c in chains]
+    values = [draw_values(c) for c in chains]
     if not values:
         raise DomainError("need at least one chain")
     sizes = np.array([len(v) for v in values])
-    if not sizes.all():
-        raise DomainError(f"every chain needs at least one draw, got sizes {sizes.tolist()}")
     distinct = [np.unique(v, return_counts=True) for v in values]
     for index, (unique, _) in enumerate(distinct):
         if np.isnan(unique[-1]):  # np.unique sorts NaN last

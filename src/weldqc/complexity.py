@@ -118,8 +118,6 @@ def distance_matrix(
         values[i, j] = values[j, i] = distances
     if labels is None:
         labels = range(1, n + 1)
-    elif len(labels) != n:
-        raise DomainError(f"got {len(labels)} labels for {n} items")
     return HellingerMatrix(tuple(str(label) for label in labels), values)
 
 
@@ -213,21 +211,6 @@ class ClusterTree(NamedTuple):
     n_leaves: int
     labels: tuple[str, ...]
     merges: tuple[Merge, ...]
-
-
-def _leaves(tree: ClusterTree, cluster_id: int) -> list[int]:
-    # left subtree first; an explicit stack, since chained trees run deeper
-    # than the interpreter's recursion limit
-    order: list[int] = []
-    pending = [cluster_id]
-    while pending:
-        node = pending.pop()
-        if node < tree.n_leaves:
-            order.append(node)
-        else:
-            merge = tree.merges[node - tree.n_leaves]
-            pending += (merge.right, merge.left)
-    return order
 
 
 def agglomerative_cluster(matrix: HellingerMatrix) -> ClusterTree:
@@ -373,21 +356,28 @@ def tree_to_dict(tree: ClusterTree) -> dict:
 
 def leaf_order(tree: ClusterTree) -> list[int]:
     """Crossing-free left-to-right leaf order for plotting."""
-    return _leaves(tree, tree.n_leaves + len(tree.merges) - 1) if tree.merges else [0]
+    # left subtree first; an explicit stack, since chained trees run deeper
+    # than the interpreter's recursion limit
+    order: list[int] = []
+    pending = [tree.n_leaves + len(tree.merges) - 1]
+    while pending:
+        node = pending.pop()
+        if node < tree.n_leaves:
+            order.append(node)
+        else:
+            merge = tree.merges[node - tree.n_leaves]
+            pending += (merge.right, merge.left)
+    return order
 
 
 def dendrogram_segments(
-    tree: ClusterTree,
+    tree: ClusterTree, order: Sequence[int]
 ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
     """Plot-ready ((x1, y1), (x2, y2)) line segments for the dendrogram.
 
-    Leaves sit at integer x positions (crossing-free order) and height is y.
+    Leaf `order[k]` sits at x = k, so pass the tree's `leaf_order` for a
+    crossing-free plot; height is y.
     """
-    return _segments(tree, leaf_order(tree))
-
-
-def _segments(tree: ClusterTree, order: Sequence[int]):
-    """`dendrogram_segments` with the tree's `leaf_order` given."""
     x = {leaf: float(pos) for pos, leaf in enumerate(order)}
     height = {leaf: 0.0 for leaf in range(tree.n_leaves)}
     segments = []

@@ -132,15 +132,22 @@ def sample_chains(
     ]
 
 
-def _draw_values(chain_or_values, post_burn_in: bool = True) -> np.ndarray:
+def draw_values(chain_or_values) -> np.ndarray:
+    """The draws every summary reads: a `Chain` gives its post-burn-in draws,
+    anything else becomes a float array.  No draws is a DomainError."""
     if isinstance(chain_or_values, Chain):
-        return chain_or_values.post_burn_in if post_burn_in else chain_or_values.draws
-    return np.asarray(chain_or_values, dtype=float)
+        values = chain_or_values.post_burn_in
+    else:
+        values = np.asarray(chain_or_values, dtype=float)
+    if len(values) == 0:
+        raise DomainError("no draws: a chain needs draws after its burn-in")
+    return values
 
 
 def acf(chain_or_values, max_lag: int) -> np.ndarray:
-    """Sample autocorrelation at lags 0..max_lag (lag 0 is exactly 1)."""
-    values = _draw_values(chain_or_values, post_burn_in=False)
+    """Sample autocorrelation at lags 0..max_lag (lag 0 is exactly 1) of a
+    chain's post-burn-in draws, as every summary reads them, or of plain values."""
+    values = draw_values(chain_or_values)
     n = len(values)
     if n < 2:
         raise DomainError("autocorrelation requires at least two values")
@@ -156,11 +163,9 @@ def acf(chain_or_values, max_lag: int) -> np.ndarray:
     return sums / sums[0]
 
 
-def empirical_interval(chain: Chain, alpha: float = 0.05) -> CredibleInterval:
-    """Equal-tailed interval from post-burn-in sample quantiles."""
-    values = chain.post_burn_in
-    if len(values) == 0:
-        raise DomainError("chain has no post-burn-in draws")
+def empirical_interval(chain_or_values, alpha: float = 0.05) -> CredibleInterval:
+    """Equal-tailed interval from the sample quantiles of the draws."""
+    values = draw_values(chain_or_values)
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
@@ -169,9 +174,7 @@ def empirical_interval(chain: Chain, alpha: float = 0.05) -> CredibleInterval:
 
 def empirical_five_number(chain_or_values) -> FiveNumberSummary:
     """Boxplot summary with 1.5 * IQR whiskers; points beyond are outliers."""
-    values = _draw_values(chain_or_values)
-    if len(values) == 0:
-        raise DomainError("no draws to summarize")
+    values = draw_values(chain_or_values)
     q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
     iqr = q3 - q1
     low_fence = q1 - 1.5 * iqr

@@ -112,10 +112,10 @@ def control_chart_svg(series) -> str:
 
 
 def dendrogram_svg(tree) -> str:
-    from .complexity import _segments, leaf_order
+    from .complexity import dendrogram_segments, leaf_order
 
     order = leaf_order(tree)
-    segments = _segments(tree, order)
+    segments = dendrogram_segments(tree, order)
     to_x = _scale(-0.5, len(order) - 0.5, MARGIN, W - MARGIN)
     # the top merge sets the scale; _scale spans 1.0 when it is not above 0
     to_y = _scale(0.0, max((m.height for m in tree.merges), default=0.0), H - MARGIN, MARGIN)

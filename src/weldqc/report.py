@@ -107,7 +107,7 @@ def _meta_comment_lines(info: Mapping) -> list[str]:
     return [
         f"# command: {info['command']}",
         f"# config: {config_json}",
-        f"# seed: {info['seed']}",
+        f"# seed: {json.dumps(info['seed'])}",
         f"# version: {info['version']}",
     ]
 

@@ -78,7 +78,7 @@ def _stirling_remainder(z):
 def log_beta(a: float, b: float) -> float:
     """log B(a, b) = log_gamma(a) + log_gamma(b) - log_gamma(a + b)."""
     small, large = min(a, b), max(a, b)
-    if small < _STIRLING_MIN <= large < math.inf:
+    if _STIRLING_MIN <= large < math.inf:
         # lgamma(large) - lgamma(large + small) in Stirling form: the two
         # lgamma values can be near 2e10 while their difference is small
         return (

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from weldqc.ab import exact_matrix, pairwise_matrix, prob_greater
 from weldqc.bayes import JEFFREYS, CountData
 from weldqc.errors import DomainError
-from weldqc.mcmc import Chain, ChainConfig, empirical_five_number, sample_posterior
+from weldqc.mcmc import (
+    Chain,
+    ChainConfig,
+    acf,
+    empirical_five_number,
+    empirical_interval,
+    sample_posterior,
+)
 
 from refdata import AB_OPERATOR_A, AB_OPERATOR_B, AB_PROB_A_GREATER
 
@@ -131,6 +138,33 @@ def tied_chains():
     chains = [rng.choice(grid, size) for size in (1, 7, 40, 113, 250)]
     chains.append(np.repeat(chains[2][:5], 3))
     return chains
+
+
+def _spent_chain():
+    """A hand-built Chain whose draws end within its burn-in."""
+    return Chain(
+        draws=np.full(3, 0.5),
+        config=ChainConfig(iterations=10, burn_in=3),
+        acceptance_rate=0.0,
+        counts=CountData(0, 0),
+        prior=JEFFREYS,
+    )
+
+
+_READERS = {
+    "acf": lambda draws: acf(draws, 0),
+    "empirical_interval": empirical_interval,
+    "empirical_five_number": empirical_five_number,
+    "prob_greater": lambda draws: prob_greater(draws, [0.5], n=10),
+    "exact_matrix": lambda draws: exact_matrix([[0.5], draws]),
+}
+
+
+@pytest.mark.parametrize("empty", [[], _spent_chain()], ids=["list", "spent-chain"])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_no_draws_is_one_domain_error(reader, empty):
+    with pytest.raises(DomainError, match="^no draws: a chain needs draws after its burn-in$"):
+        _READERS[reader](empty)
 
 
 class TestExactMatrix:

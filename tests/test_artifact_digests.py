@@ -65,25 +65,25 @@ CASES = {
 #: sha256 of each artifact, by case and file name
 DIGESTS = {
     "complexity-counts": {
-        "clusters.csv": "39366d0b09bba9c8f1bfcb165c88ac6c7b9e0f4261300b020d87e945f1187de1",
-        "complexity_scores.csv": "c862375a9c810db5b8498a902c9b78154b2dbb7d81a05460cd5339e9b5a66520",
+        "clusters.csv": "dfbc176a7360e4ddd4cb3223170977015509d8e0c0947e4e92bc0f7e4872bf81",
+        "complexity_scores.csv": "3c367054a21c065b1854735315b1ed2c21cb761af87e276e3e6f1d369d25cf94",
         "dendrogram.json": "4876b08ce15de47469b479c6ba548e64ee2b5953feb6cd77c2b161f1206ff012",
-        "dendrogram.svg": "5d7eb23826d3ce2734324de59d6a30cccdd1321d78de04b74dd28e975b923d5a",
-        "hellinger_matrix.csv": "74d29a9b3f44a300c460919d2c3f3d5314d5c568d6c119e53c90d3cf7f64bfa9",
+        "dendrogram.svg": "eb6fb16c8df89215cdd3273176d85c9aac97ed1cf022694f32229c6dc7e205ed",
+        "hellinger_matrix.csv": "b6cb218c3686f086015997b83aae337499af3f12362baa4ca080629b0a6a9013",
     },
     "complexity-hellinger": {
-        "clusters.csv": "2d07f686e5dfb3495b75c2d270111dd78cba76f5a31807944ce5da03abfa1736",
-        "complexity_scores.csv": "d30fff778ced6868f274a2c370817f7e6727d9c5a8e6f444163be6b7759918b8",
+        "clusters.csv": "5bd2867ad3f37a5c25e52a57e2b91863fbc57b330a1bdfc5b67a9742be4ae04b",
+        "complexity_scores.csv": "64bdf34ddd6eef14949e593fe2a0414c75081d3fcc59c756e70da4503beb46b7",
         "dendrogram.json": "b4d12126fbe961ec9b9ecb194d237cc9369295f99ec2c8814746a51ee2f7f4dc",
-        "dendrogram.svg": "b0c924bb5f14534651a532daa2d8597ae14cd9b22f9d975c2e0bac60d8293f5f",
-        "hellinger_matrix.csv": "bc6e3771a77966cf819c4e84857abfae063667ee376a33d457a46a7b5a41acbd",
+        "dendrogram.svg": "b5f56b827c1a2cc2145581e7ff9d1326d3313ee8999924392406186ea164a37a",
+        "hellinger_matrix.csv": "e6352a844bfb20b18354c90500699e78336c4d7bbcf8e2ac0a332f66f8ad1a3b",
     },
     "complexity-input": {
-        "clusters.csv": "4c118c294040853a939bb8c468bc108db76b7b0cc45077d50beaa8152c2cde88",
-        "complexity_scores.csv": "f591e0ddd68bd5a65601209284797475e8490560f229e8cac6c6c631b6ff25eb",
+        "clusters.csv": "9f9dc9de5cef63550b2ee8f0c2b67d3601958f75253397928a9a6acb0cea1f13",
+        "complexity_scores.csv": "736103f04e44990393f1dd205b89d8259c7eeb8a9b19cc96d58888d48c34e1a9",
         "dendrogram.json": "e257446789e27dea0665c795c82e24c90afdd2a8ff317742a4b80f0be01ff6e1",
-        "dendrogram.svg": "b9f9b87e9dc372aa27c66b3bbcf1deecff5965be4ee4dd2f46092863da3e7ba3",
-        "hellinger_matrix.csv": "cb110a45395399fe84750270737611426dd1cc2ee793c3664154b9d374976a24",
+        "dendrogram.svg": "8edca036edde88e2b8b27f5e7635b663aae1e306963bab420847638b02d40d33",
+        "hellinger_matrix.csv": "700dae016546ef602bf198742f84b315355f058e38961a1896d69f70e8f54dfb",
     },
     "forecast": {
         "forecast.json": "f0244af4659864d854237785e6ef4502650cd809d0b6cb6270572d4e22af39a7",
@@ -124,7 +124,7 @@ DIGESTS = {
     },
     "summarize": {
         "rejections.json": "674ac689e2e0232a418650ec4b0dcfbee5301fd8324c648f2c12253e9d2b51de",
-        "summary.csv": "ba23c696c9c48c62b48bca194a20bcaec30e39a32d4326185e250c1192eaf105",
+        "summary.csv": "b02991b7ba556be5fc979e14b6e4ae7baeca477871c40da963a3ebd1d242ee02",
         "summary.json": "5ef17bcc81acec9a9458327499c18d759fb9c896bdfbbf23c1bd702069526332",
     },
 }
@@ -146,3 +146,9 @@ def run_case(case, directory, monkeypatch):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifacts_are_byte_identical(case, tmp_path, monkeypatch):
     assert run_case(case, tmp_path, monkeypatch) == DIGESTS[case]
+
+
+def test_seedless_header_writes_json_null(tmp_path, monkeypatch):
+    run_case("summarize", tmp_path, monkeypatch)
+    header = (tmp_path / "out" / "summary.csv").read_text(encoding="utf-8").splitlines()
+    assert "# seed: null" in header

@@ -666,7 +666,7 @@ class TestExports:
 
     def test_segments_cover_all_merges(self):
         tree = agglomerative_cluster(distance_matrix(eight_posteriors()))
-        segments = dendrogram_segments(tree)
+        segments = dendrogram_segments(tree, leaf_order(tree))
         assert len(segments) == 3 * len(tree.merges)
         assert sorted(leaf_order(tree)) == list(range(8))
 
@@ -681,5 +681,5 @@ class TestExports:
         assert tree.merges[-1] == Merge(left=n - 1, right=2 * n - 3, height=float(n - 1))
         # each merge puts the new leaf (the smaller id) left of the chain
         assert leaf_order(tree) == list(range(n - 1, 1, -1)) + [0, 1]
-        assert len(dendrogram_segments(tree)) == 3 * (n - 1)
+        assert len(dendrogram_segments(tree, leaf_order(tree))) == 3 * (n - 1)
         assert dendrogram_svg(tree).count("<line") == 3 * (n - 1)

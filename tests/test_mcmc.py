@@ -240,6 +240,21 @@ class TestEmpiricalSummaries:
         assert all(v < s.whisker_low or v > s.whisker_high for v in s.outliers)
 
 
+SUMMARIES = {
+    "acf": lambda draws: acf(draws, 10),
+    "empirical_interval": empirical_interval,
+    "empirical_five_number": empirical_five_number,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARIES))
+def test_chain_reads_as_its_post_burn_in_draws(name):
+    # a start far out in the tail makes the burn-in draws unlike the rest
+    chain = sample_posterior(COUNTS, JEFFREYS, ChainConfig(burn_in=300, initial=0.9, seed=4))
+    summary = SUMMARIES[name]
+    np.testing.assert_equal(summary(chain), summary(chain.post_burn_in))
+
+
 class TestResiduals:
     def test_identical_lists_are_zero(self):
         ci = credible_interval(BetaParams(10.5, 90.5))

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -83,6 +84,22 @@ class TestStirlingForms:
                 expected = float(mpmath.loggamma(s) + mpmath.loggamma(l) - mpmath.loggamma(s + l))
                 assert special.log_beta(small, large) == pytest.approx(expected, rel=4e-15, abs=4e-15)
                 assert special.log_beta(large, small) == special.log_beta(small, large)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        list(itertools.combinations_with_replacement(
+            [10.0, 37.5, 150.5, 1000.0, 7044.5, 92956.5, 1e6 + 0.5, 5e7, 1e9], 2
+        )),
+    )
+    def test_log_beta_with_both_shapes_large_matches_mpmath(self, a, b):
+        # lgamma(a) + lgamma(b) - lgamma(a + b) errs by about eps * (a + b) ln(a + b);
+        # the Stirling difference keeps the error to the order of eps * min(a, b) ln(a + b)
+        with mpmath.workdps(40):
+            A, B = mpmath.mpf(a), mpmath.mpf(b)
+            expected = mpmath.loggamma(A) + mpmath.loggamma(B) - mpmath.loggamma(A + B)
+            error = float(special.log_beta(a, b) - expected)
+        assert abs(error) <= 4.0 * np.finfo(float).eps * min(a, b) * math.log(a + b)
+        assert special.log_beta(b, a) == special.log_beta(a, b)
 
     def test_log_gamma_gap_matches_mpmath(self):
         rng = np.random.default_rng(4)
