@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .mcmc import draw_values
 from .streams import derive_seed, substream
 
@@ -40,7 +40,7 @@ def prob_greater(draws_a, draws_b, n: int = DEFAULT_RESAMPLES, seed: int = 0) ->
     """P(FN_A >= FN_B) over n paired resamples, deterministic given seed."""
     a = draw_values(draws_a)
     b = draw_values(draws_b)
-    if n < 1:
+    if check_integer("n", n) < 1:
         raise DomainError(f"need at least one resample, got {n}")
     rng = substream(seed)
     picks_a = a[rng.integers(0, len(a), n)]
@@ -75,17 +75,13 @@ def exact_matrix(chains) -> np.ndarray:
     The diagonal is fixed at 0.50.  Each chain counts each distinct draw once,
     weighted by its multiplicity, so one sort of the distinct draws serves
     every cell: time is O(chains x distinct draws) and memory is linear in
-    the distinct draws.  Counts are exact integers, and a NaN draw, which has
-    no order, is a DomainError.
+    the distinct draws.  Counts are exact integers.
     """
     values = [draw_values(c) for c in chains]
     if not values:
         raise DomainError("need at least one chain")
     sizes = np.array([len(v) for v in values])
     distinct = [np.unique(v, return_counts=True) for v in values]
-    for index, (unique, _) in enumerate(distinct):
-        if np.isnan(unique[-1]):  # np.unique sorts NaN last
-            raise DomainError(f"chain {index} has a NaN draw")
     points = np.concatenate([p for p, _ in distinct])
     weights = np.concatenate([w for _, w in distinct])
     bounds = np.cumsum([0] + [len(p) for p, _ in distinct])  # chain j is bounds[j]:bounds[j + 1]

@@ -36,7 +36,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import __version__, ab, complexity, forecast, mcmc, render, report, rework
-from .bayes import BetaParams, CountData, credible_interval, posterior
+from .bayes import JEFFREYS, BetaParams, CountData, credible_interval, posterior
 from .bayes import agresti_coull_interval, wald_interval, wilson_interval
 from .errors import ConfigError, DomainError, SchemaError, WeldQCError
 from .ingest import (
@@ -627,7 +627,7 @@ _INPUT = Option(_REQUIRED, _path)
 _DELIMITER = Option(",", _choice(",", "tab", ";", "\\t", "\t"))
 _WHERE = Option([], _where, {"action": "append", "metavar": "FIELD=VALUE"})
 _GROUP_BY = Option(list(DEFAULT_GROUP_BY), _grouping, {"action": _CommaList})
-_PRIOR = Option([0.5, 0.5], _shapes, {"nargs": 2, "metavar": ("A", "B")})
+_PRIOR = Option(list(JEFFREYS), _shapes, {"nargs": 2, "metavar": ("A", "B")})
 _SEED = Option(0, _integer)
 
 #: command -> (handler, help, options): the one declaration of every option
@@ -659,9 +659,9 @@ COMMANDS: dict[str, tuple[Callable[[dict], tuple[Artifacts, str]], str, dict[str
         "weld_kind": Option(None, str),
         "min_inspected": Option(100, _at_least(0)),
         "prior": _PRIOR,
-        "iterations": Option(10_000, _at_least(1)),
-        "burn_in": Option(200, _at_least(0)),
-        "proposal_sd": Option(0.05, _positive),
+        "iterations": Option(mcmc.ChainConfig._field_defaults["iterations"], _at_least(1)),
+        "burn_in": Option(mcmc.ChainConfig._field_defaults["burn_in"], _at_least(0)),
+        "proposal_sd": Option(mcmc.ChainConfig._field_defaults["proposal_sd"], _positive),
         "resamples": Option(None, _at_least(1), {
             "help": "estimate each A/B cell from N resamples (default: exact over all draw pairs)",
         }),

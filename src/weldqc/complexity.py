@@ -74,14 +74,16 @@ def hellinger(p: BetaParams, q: BetaParams) -> float:
 
 @checked
 class HellingerMatrix(NamedTuple):
+    """Distances between n >= 1 labelled products: an n x n matrix for n labels."""
+
     labels: tuple[str, ...]
     values: np.ndarray
 
     def _check(self) -> None:
-        n = len(self.labels)
-        if self.values.shape != (n, n):
+        if not (n := len(self.labels)) or self.values.shape != (n, n):
             raise DomainError(
                 f"matrix shape {self.values.shape} does not match {n} labels"
+                if n else "a distance matrix needs at least one label"
             )
 
     @property

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bayes import BetaParams
-from .errors import ConfigError, DomainError, checked
+from .errors import ConfigError, DomainError, check_integer, checked
 from .streams import substream
 
 DEFAULT_ITERATIONS = 100
@@ -72,7 +72,7 @@ def simulate_project(
     weld pick per iteration through the cumulative counts and draws all its
     values in one call.
     """
-    if iterations < 1:
+    if check_integer("iterations", iterations) < 1:
         raise DomainError(f"need at least one iteration, got {iterations}")
     if mode not in ("average", "mixture"):
         raise ConfigError(f"mode must be 'average' or 'mixture', got {mode!r}")
@@ -103,10 +103,10 @@ def simulate_project(
 
 
 def quantile_table(samples) -> list[tuple[float, float]]:
-    """Empirical quantiles on the 0%..100% grid of QUANTILE_STEP; nondecreasing."""
+    """Nondecreasing empirical quantiles of finite samples on the 0%..100% grid of QUANTILE_STEP."""
     samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise DomainError("no samples to summarize")
+    if samples.size == 0 or not np.isfinite(samples).all():
+        raise DomainError("quantiles need at least one sample, and every sample finite")
     levels = np.arange(0.0, 1.0 + QUANTILE_STEP / 2.0, QUANTILE_STEP)
     levels[-1] = min(levels[-1], 1.0)
     values = np.quantile(samples, levels)

@@ -133,12 +133,14 @@ def sample_chains(
 
 
 def draw_values(chain_or_values) -> np.ndarray:
-    """The draws every summary reads: a `Chain` gives its post-burn-in draws,
-    anything else becomes a float array.  No draws is a DomainError."""
+    """The draws every summary reads: a `Chain`'s post-burn-in draws, or else a float
+    array; anything but a non-empty 1-D array of finite values is a DomainError."""
     if isinstance(chain_or_values, Chain):
         values = chain_or_values.post_burn_in
     else:
         values = np.asarray(chain_or_values, dtype=float)
+    if values.ndim != 1 or not np.isfinite(values).all():
+        raise DomainError(f"draws must be a 1-D array of finite values, got shape {values.shape}")
     if len(values) == 0:
         raise DomainError("no draws: a chain needs draws after its burn-in")
     return values
@@ -151,7 +153,7 @@ def acf(chain_or_values, max_lag: int) -> np.ndarray:
     n = len(values)
     if n < 2:
         raise DomainError("autocorrelation requires at least two values")
-    if not (0 <= max_lag < n):
+    if not (0 <= check_integer("max_lag", max_lag) < n):
         raise DomainError(f"max_lag must lie in [0, {n - 1}], got {max_lag}")
     centered = values - values.mean()
     if float(np.dot(centered, centered)) == 0.0:

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bayes import BetaParams
-from .errors import DomainError, checked
+from .errors import DomainError, check_integer, checked
 from .forecast import quantile_table
 from .streams import derive_seed, substream
 
@@ -114,6 +114,8 @@ def _draw_hours(
     terms: np.ndarray, a: np.ndarray, b: np.ndarray, iterations: int, rng: np.random.Generator
 ) -> np.ndarray:
     """iterations x len(terms) rework hours terms * (1/(1 - p) - 1), p ~ Beta(a, b), in place."""
+    if check_integer("iterations", iterations) < 1:
+        raise DomainError(f"need at least one iteration, got {iterations}")
     draws = rng.beta(a, b, size=(iterations, a.size))
     # a draw at 1 would make 1/(1 - p) infinite; measure-zero but guarded
     for _ in range(_REDRAW_LIMIT):
@@ -150,8 +152,6 @@ def simulate_total_rework(
     """Planning-phase distribution of total rework man-hours."""
     if not specs:
         raise DomainError("need at least one product")
-    if iterations < 1:
-        raise DomainError(f"need at least one iteration, got {iterations}")
     samples = _draw_hours(*_columns(specs), iterations, substream(seed)).sum(axis=1)
     return ReworkEstimate(samples=samples, seed=seed, iterations=iterations)
 

@@ -77,7 +77,7 @@ def _stirling_remainder(z):
 
 def log_beta(a: float, b: float) -> float:
     """log B(a, b) = log_gamma(a) + log_gamma(b) - log_gamma(a + b)."""
-    small, large = min(a, b), max(a, b)
+    small, large = (a, b) if a <= b else (b, a)  # min and max could drop a NaN
     if _STIRLING_MIN <= large < math.inf:
         # lgamma(large) - lgamma(large + small) in Stirling form: the two
         # lgamma values can be near 2e10 while their difference is small
@@ -215,8 +215,8 @@ def _betacf(x: float, a: float, b: float) -> float:
 
 
 def _check_shapes(a: float, b: float) -> None:
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"shape parameters must be positive and finite, got a={a}, b={b}")
     if not a + b <= _MAX_SHAPE_SUM:
         raise DomainError(
             f"shape parameters must sum to at most {_MAX_SHAPE_SUM:g}, got a={a}, b={b}"
@@ -226,7 +226,7 @@ def _check_shapes(a: float, b: float) -> None:
 def beta_cdf(x: float, a: float, b: float) -> float:
     """I_x(a, b), the regularized incomplete beta function."""
     _check_shapes(a, b)
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise DomainError(f"incomplete beta requires 0 <= x <= 1, got {x}")
     if x == 0.0:
         return 0.0
@@ -295,7 +295,7 @@ def _cdf_step(x: float, h: float, a: float, b: float, log_b: float) -> float | N
 def beta_quantile(q: float, a: float, b: float) -> float:
     """Inverse of beta_cdf: the value x with I_x(a, b) = q."""
     _check_shapes(a, b)
-    if q < 0.0 or q > 1.0:
+    if not 0.0 <= q <= 1.0:
         raise DomainError(f"quantile level must lie in [0, 1], got {q}")
     if q == 0.0:
         return 0.0
@@ -341,6 +341,6 @@ def beta_quantile(q: float, a: float, b: float) -> float:
 
 def normal_quantile(q: float) -> float:
     """Standard normal quantile, from `statistics.NormalDist.inv_cdf`."""
-    if q <= 0.0 or q >= 1.0:
+    if not 0.0 < q < 1.0:
         raise DomainError(f"normal quantile requires 0 < q < 1, got {q}")
     return _NORMAL.inv_cdf(q)

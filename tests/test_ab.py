@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,9 @@ class TestProbGreater:
             prob_greater([], [0.5], n=10, seed=0)
         with pytest.raises(DomainError):
             prob_greater([0.5], [0.4], n=0, seed=0)
+        for n in (2.5, True, float("nan")):
+            with pytest.raises(DomainError, match=f"^n must be an integer, got {n!r}$"):
+                prob_greater([0.5], [0.4], n=n, seed=0)
 
 
 class TestPairwiseMatrix:
@@ -156,7 +160,17 @@ _READERS = {
     "empirical_interval": empirical_interval,
     "empirical_five_number": empirical_five_number,
     "prob_greater": lambda draws: prob_greater(draws, [0.5], n=10),
+    "pairwise_matrix": lambda draws: pairwise_matrix([[0.5], draws], n=10),
     "exact_matrix": lambda draws: exact_matrix([[0.5], draws]),
+}
+
+# inputs that are not a 1-D array of finite draws, and the shape each reports
+_NOT_DRAWS = {
+    "scalar": (0.5, "()"),
+    "2-D": (np.ones((2, 3)), "(2, 3)"),
+    "nan": ([0.1, np.nan], "(2,)"),
+    "+inf": ([0.1, np.inf], "(2,)"),
+    "-inf": ([-np.inf, 0.1], "(2,)"),
 }
 
 
@@ -165,6 +179,15 @@ _READERS = {
 def test_no_draws_is_one_domain_error(reader, empty):
     with pytest.raises(DomainError, match="^no draws: a chain needs draws after its burn-in$"):
         _READERS[reader](empty)
+
+
+@pytest.mark.parametrize("case", list(_NOT_DRAWS))
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_draws_that_are_not_finite_1d_are_one_domain_error(reader, case):
+    draws, shape = _NOT_DRAWS[case]
+    message = f"draws must be a 1-D array of finite values, got shape {shape}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _READERS[reader](draws)
 
 
 class TestExactMatrix:
@@ -207,7 +230,9 @@ class TestExactMatrix:
         assert np.array_equal(exact_matrix(chains), _brute_force_matrix(draws))
 
     def test_nan_draw_rejected(self):
-        with pytest.raises(DomainError, match="chain 1 has a NaN draw"):
+        with pytest.raises(
+            DomainError, match=r"^draws must be a 1-D array of finite values, got shape \(3,\)$"
+        ):
             exact_matrix([[0.1, 0.2], [0.3, np.nan, 0.3]])
 
     def test_empty_input_rejected(self):

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weldqc import ab, report
+from weldqc.bayes import JEFFREYS
 from weldqc.cli import COMMANDS, build_parser, main
 from weldqc.ingest import DEFAULT_GROUP_BY
+from weldqc.mcmc import ChainConfig
 
 from refdata import (
     EIGHT_PRODUCT_COUNTS,
@@ -1137,6 +1139,14 @@ def test_flag_and_config_key_set_the_same_value(command, monkeypatch, tmp_path):
         assert by_flag[name] != option.default, name
 
 
+def test_operators_defaults_are_the_library_defaults():
+    _, _, options = COMMANDS["operators"]
+    chain = ChainConfig()
+    expected = {"iterations": chain.iterations, "burn_in": chain.burn_in,
+                "proposal_sd": chain.proposal_sd, "prior": list(JEFFREYS)}
+    assert {name: options[name].default for name in expected} == expected
+
+
 # how the help shows the allowed values of each choice option
 CHOICE_METAVARS = {
     "--delimiter": "{,,tab,;,\\\\t,\\t}",
@@ -1365,12 +1375,21 @@ def test_reused_parser_resolves_each_call_alone(monkeypatch):
 
 
 def test_importing_the_cli_loads_no_test_only_package():
-    """numpy is the one runtime dependency: scipy, mpmath and hypothesis serve the tests."""
+    """numpy is the one runtime dependency: scipy, mpmath and hypothesis serve the tests.
+
+    Beyond numpy, the CLI loads only the packages below: every CLI call pays
+    for compiling and importing a new one.
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import sys, weldqc.cli; print(' '.join(sorted(sys.modules)))"
+    code = "import sys, numpy; print(*sys.modules); import weldqc.cli; print(*sys.modules)"
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    loaded = {name.partition(".")[0] for name in done.stdout.split()}
+    with_numpy, loaded = ({name.partition(".")[0] for name in line.split()}
+                          for line in done.stdout.splitlines())
     assert "weldqc" in loaded and "numpy" in loaded
     assert not loaded & {"scipy", "mpmath", "hypothesis"}
+    assert loaded - with_numpy <= {
+        "weldqc", "argparse", "csv", "_csv", "json", "_json", "statistics", "_statistics",
+        "decimal", "_decimal", "fractions", "gettext", "__future__",
+    }

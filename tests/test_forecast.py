@@ -137,6 +137,9 @@ class TestSimulate:
             simulate_project(single_type_design(1), iterations=0)
         with pytest.raises(ConfigError):
             simulate_project(single_type_design(1), mode="teleport")
+        for iterations in (2.5, True, float("nan")):
+            with pytest.raises(DomainError, match=f"^iterations must be an integer, got {iterations!r}$"):
+                simulate_project(single_type_design(1), iterations=iterations)
 
 
 class TestQuantileTable:
@@ -162,3 +165,8 @@ class TestQuantileTable:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             quantile_table([])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(
+                DomainError, match="^quantiles need at least one sample, and every sample finite$"
+            ):
+                quantile_table([0.1, bad])

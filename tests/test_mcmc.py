@@ -6,6 +6,7 @@ import pytest
 from weldqc.bayes import JEFFREYS, BetaParams, CountData, credible_interval, posterior
 from weldqc.errors import DomainError
 from weldqc.mcmc import (
+    Chain,
     ChainConfig,
     acf,
     default_initial,
@@ -202,6 +203,9 @@ class TestAcf:
             acf([0.1, 0.2, 0.3], 5)
         with pytest.raises(DomainError):
             acf([0.5, 0.5, 0.5], 1)
+        for max_lag in (1.5, True, float("nan")):
+            with pytest.raises(DomainError, match=f"^max_lag must be an integer, got {max_lag!r}$"):
+                acf([0.1, 0.2, 0.3], max_lag)
 
 
 class TestEmpiricalSummaries:
@@ -253,6 +257,24 @@ def test_chain_reads_as_its_post_burn_in_draws(name):
     chain = sample_posterior(COUNTS, JEFFREYS, ChainConfig(burn_in=300, initial=0.9, seed=4))
     summary = SUMMARIES[name]
     np.testing.assert_equal(summary(chain), summary(chain.post_burn_in))
+
+
+_NAN_CHAIN = Chain(
+    draws=np.array([0.5, 0.4, np.nan, 0.4]),
+    config=ChainConfig(iterations=4, burn_in=1),
+    acceptance_rate=0.5,
+    counts=COUNTS,
+    prior=JEFFREYS,
+)
+
+
+@pytest.mark.parametrize("draws", [
+    0.5, np.ones((2, 3)), [0.1, np.nan], [0.1, np.inf], [-np.inf, 0.1], _NAN_CHAIN,
+], ids=["scalar", "2-D", "nan", "+inf", "-inf", "nan-chain"])
+@pytest.mark.parametrize("name", sorted(SUMMARIES))
+def test_draws_that_are_not_finite_1d_are_one_domain_error(name, draws):
+    with pytest.raises(DomainError, match="^draws must be a 1-D array of finite values, got shape "):
+        SUMMARIES[name](draws)
 
 
 class TestResiduals:

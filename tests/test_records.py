@@ -201,6 +201,7 @@ INVALID = {
     ],
     complexity.HellingerMatrix: [
         ((("a",), np.zeros((2, 2))), DomainError, "matrix shape (2, 2) does not match 1 labels"),
+        (((), np.zeros((0, 0))), DomainError, "a distance matrix needs at least one label"),
     ],
     forecast.ProjectDesign: [
         (((),), ConfigError, "a project design needs at least one weld type, each of count >= 1"),

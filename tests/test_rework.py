@@ -300,6 +300,27 @@ class TestRedrawBlocks:
         assert self.chart(monkeypatch, cells).tobytes() == whole.tobytes()
 
 
+_ITERATION_RUNS = {
+    "simulate_total_rework": lambda n: simulate_total_rework(example_specs(), iterations=n),
+    "control_chart": lambda n: control_chart(example_specs(), [], [], iterations=n),
+    "control_chart_given_limits": lambda n: control_chart(
+        example_specs(), [], [], iterations=n, limits=ControlLimits(cl=3.0, ucl=5.0, lcl=2.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("iterations, message", [
+    (2.5, "iterations must be an integer, got 2.5"),
+    (True, "iterations must be an integer, got True"),
+    (float("nan"), "iterations must be an integer, got nan"),
+    (0, "need at least one iteration, got 0"),
+], ids=["float", "bool", "nan", "zero"])
+@pytest.mark.parametrize("run", sorted(_ITERATION_RUNS))
+def test_iterations_are_checked_once_for_every_run(run, iterations, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        _ITERATION_RUNS[run](iterations)
+
+
 class TestControlLimits:
     def test_ordering(self):
         estimate = simulate_total_rework(example_specs(), iterations=1000, seed=0)

@@ -334,10 +334,12 @@ class TestBetaQuantile:
 
     @pytest.mark.parametrize("shapes", [(3.5, 1e30), (5e17, 5e17), (1.0, math.inf)])
     def test_rejects_shapes_beyond_the_continued_fraction(self, shapes):
-        # sqrt(a + b) terms: at 1e30 the solver would run for days, at 1e18 it overflows
-        with pytest.raises(DomainError, match="sum to at most"):
+        # sqrt(a + b) terms: at 1e30 the solver would run for days, at 1e18 it overflows;
+        # an infinite shape is refused before its sum is looked at
+        message = "sum to at most" if math.isfinite(sum(shapes)) else "must be positive and finite"
+        with pytest.raises(DomainError, match=message):
             special.beta_quantile(0.5, *shapes)
-        with pytest.raises(DomainError, match="sum to at most"):
+        with pytest.raises(DomainError, match=message):
             special.beta_cdf(0.5, *shapes)
 
 
@@ -423,6 +425,31 @@ def test_beta_pdf_integrates_to_cdf():
     for x in (0.02, 0.08, 0.2):
         numeric, _ = integrate.quad(lambda t: math.exp(special.beta_log_pdf(t, a, b)), 0.0, x)
         assert special.beta_cdf(x, a, b) == pytest.approx(numeric, rel=1e-8)
+
+
+# public entry point -> valid arguments; small and large shapes take different log_beta branches
+_ENTRY_POINTS = {
+    "beta_cdf": (0.5, 2.0, 3.0),
+    "beta_quantile": (0.5, 2.0, 3.0),
+    "beta_log_pdf": (0.5, 2.0, 3.0),
+    "beta_log_pdf_large_shapes": (0.5, 40.0, 60.0),
+    "log_beta": (2.0, 3.0),
+    "log_beta_large_shapes": (40.0, 60.0),
+    "normal_quantile": (0.5,),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name, position", [
+    (name, position) for name, args in _ENTRY_POINTS.items() for position in range(len(args))
+])
+def test_non_finite_arguments_are_domain_errors(name, position, value):
+    args = list(_ENTRY_POINTS[name])
+    args[position] = value
+    with pytest.raises(DomainError) as error:
+        getattr(special, name.removesuffix("_large_shapes"))(*args)
+    assert "continued fraction" not in str(error.value)
+    assert "sum to at most" not in str(error.value)
 
 
 def test_normal_quantile():
